@@ -13,6 +13,19 @@ depend on the chosen ordering, the greedy per-gate choice is globally
 optimal *with respect to the model* in a single pass (the paper's
 monotonic-characteristic argument, §4.2).
 
+The same property lets each pass do its pricing up front: the net
+statistics are known before any decision, and every gate's load is
+read from the circuit as the pass starts (its sinks come later in
+topological order, so no earlier decision of the pass can move it).
+Every (gate, configuration) candidate of a pass is therefore priced
+in **one batched call**
+(:func:`repro.compiled.power.price_configurations`, one kernel
+evaluation per (template, configuration) class), and the per-gate
+choices then run in topological order on the priced totals.
+:func:`repro.core.reorder.evaluate_configurations` — one
+``gate_power`` per configuration — is the reference oracle only;
+``tests/test_optimizer_batched.py`` holds the two bit-identical.
+
 Three objectives:
 
 ``"best"``      minimise each gate's modelled power (the paper's optimiser);
@@ -34,17 +47,18 @@ Three objectives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..circuit.netlist import Circuit, GateInstance
 from ..gates.capacitance import TechParams
+from ..gates.library import GateConfig
 from ..obs import trace as _trace
 from ..obs.metrics import REGISTRY as _METRICS
 from ..stochastic.signal import SignalStats
 from ..timing.elmore import gate_pin_delay, gate_worst_delay
 from ..timing.sta import DEFAULT_PO_LOAD
 from .power_model import GatePowerModel, GatePowerReport
-from .reorder import ConfigEvaluation, evaluate_configurations
+from .reorder import ConfigEvaluation
 
 __all__ = [
     "OBJECTIVES",
@@ -65,6 +79,9 @@ OBJECTIVES = ("best", "worst", "delay-constrained", "fastest")
 STATS_SOURCES = ("model", "local", "exact", "sampled")
 
 _EPS = 1e-30
+
+#: Candidate configurations priced by the optimiser's batched calls.
+_CONFIGS_PRICED = _METRICS.counter("optimize.configs_priced")
 
 
 @dataclass(frozen=True)
@@ -246,77 +263,57 @@ def optimize_circuit(
     for _ in range(passes):
         passes_run += 1
         changed_gates: set = set()
-
-        if pending is None:
-            # Pass 1 — the paper's full traversal, propagating net_stats
-            # along the way in the "model" flow.
-            pass_power_before = 0.0
-            power_after = 0.0
+        first = pending is None
+        if first:
+            # Pass 1 — the paper's full traversal.  Output statistics
+            # do not depend on the configuration (§4.2), so the "model"
+            # flow's propagation runs ahead of the decisions.
             net_stats = (
                 dict(precomputed) if precomputed is not None
-                else {n: input_stats[n] for n in circuit.inputs}
+                else _model_stats(circuit, topo, input_stats, model)
             )
-            for gate in topo:
-                pin_stats = _pin_stats(gate, net_stats)
-                load = result_circuit.output_load(gate.output, model.tech, po_load)
-                evaluations = evaluate_configurations(
-                    gate.template, pin_stats, model, load
-                )
-                _decided.inc()
-                by_key = {e.config.key(): e for e in evaluations}
-                entry_key = gate.effective_config().key()
-                original_eval = by_key[entry_key]
-                default_eval = by_key[gate.template.default_config().key()]
-                chosen = _choose(objective, gate, evaluations, default_eval,
-                                 model, load)
-                if chosen.config.key() != entry_key:
-                    changed_gates.add(gate.name)
-                    # Through the edit API so an attached TimingCache
-                    # hears about it; a plain assignment would not.
-                    result_circuit.set_config(gate.name, chosen.config)
-                else:
-                    gate.config = chosen.config
-                decisions_by_gate[gate.name] = GateDecision(
-                    gate.name, gate.template.name, len(evaluations),
-                    chosen, default_eval.power
-                )
-                pass_power_before += original_eval.power
-                power_after += chosen.power
-                if precomputed is None:
-                    net_stats[gate.output] = model.output_stats(
-                        gate.compiled(), pin_stats
-                    )
-            if power_before is None:
-                power_before = pass_power_before
+            todo = topo
+            pass_power_before = 0.0
+            power_after = 0.0
         else:
             # Cone-aware pass: statistics are pass-invariant, so only
             # the worklist — gates whose external load the previous
-            # pass changed — can decide differently.  Topological
-            # order and live loads reproduce exactly what a full
-            # re-traversal would decide (a gate's sinks come later in
-            # topological order, so its load still reflects the
-            # previous pass when it is re-decided).
-            for gate in topo:
-                if gate.name not in pending:
-                    continue
-                pin_stats = _pin_stats(gate, net_stats)
-                load = result_circuit.output_load(gate.output, model.tech, po_load)
-                evaluations = evaluate_configurations(
-                    gate.template, pin_stats, model, load
-                )
-                _decided.inc()
-                by_key = {e.config.key(): e for e in evaluations}
-                entry_key = gate.effective_config().key()
-                default_eval = by_key[gate.template.default_config().key()]
-                chosen = _choose(objective, gate, evaluations, default_eval,
-                                 model, load)
-                if chosen.config.key() != entry_key:
-                    changed_gates.add(gate.name)
-                    result_circuit.set_config(gate.name, chosen.config)
-                decisions_by_gate[gate.name] = GateDecision(
-                    gate.name, gate.template.name, len(evaluations),
-                    chosen, default_eval.power
-                )
+            # pass changed — can decide differently.
+            todo = [gate for gate in topo if gate.name in pending]
+        # Every load is read before any decision of this pass: a gate's
+        # sinks come later in topological order, so these are exactly
+        # the loads a one-gate-at-a-time traversal would see.
+        prices, loads = _price(todo, net_stats, result_circuit, model,
+                               po_load)
+        for index, gate in enumerate(todo):
+            configs = prices.configs[index]
+            totals = prices.totals[index]
+            _decided.inc()
+            position = {config.key(): k for k, config in enumerate(configs)}
+            entry = position[gate.effective_config().key()]
+            default = position[gate.template.default_config().key()]
+            k = _choose(objective, gate, configs, totals, default, model,
+                        loads[index])
+            # The only full report this gate needs, read off the
+            # kernel's node columns.
+            chosen = ConfigEvaluation(configs[k], totals[k],
+                                      prices.report(index, k))
+            if k != entry:
+                changed_gates.add(gate.name)
+                # Through the edit API so an attached TimingCache
+                # hears about it; a plain assignment would not.
+                result_circuit.set_config(gate.name, chosen.config)
+            else:
+                gate.config = chosen.config
+            decisions_by_gate[gate.name] = GateDecision(
+                gate.name, gate.template.name, len(configs),
+                chosen, totals[default]
+            )
+            if first:
+                pass_power_before += totals[entry]
+                power_after += totals[k]
+        if power_before is None:
+            power_before = pass_power_before
 
         tracer = _trace.ACTIVE
         if tracer is not None:
@@ -351,13 +348,11 @@ def optimize_circuit(
         # against loads that later decisions may have changed; one
         # cheap sweep (no enumeration) reprices the final configuration
         # consistently.  Matches a converged full pass bit-for-bit.
+        settled, _ = _price(topo, net_stats, result_circuit, model,
+                            po_load, current=True)
         power_after = 0.0
-        for gate in topo:
-            report = model.gate_power(
-                gate.compiled(), _pin_stats(gate, net_stats),
-                result_circuit.output_load(gate.output, model.tech, po_load),
-            )
-            power_after += report.total
+        for row in settled.totals:
+            power_after += row[0]
 
     gates_retimed = 0
     if timing is not None:
@@ -371,61 +366,119 @@ def optimize_circuit(
                           _decided.since(decided_start), gates_retimed)
 
 
+def _model_stats(
+    circuit: Circuit,
+    topo: List[GateInstance],
+    input_stats: Mapping[str, SignalStats],
+    model: GatePowerModel,
+) -> Dict[str, SignalStats]:
+    """Net statistics of the paper's flow: ``output_stats`` in topological order."""
+    net_stats = {n: input_stats[n] for n in circuit.inputs}
+    for gate in topo:
+        net_stats[gate.output] = model.output_stats(
+            gate.compiled(), _pin_stats(gate, net_stats)
+        )
+    return net_stats
+
+
+def _price(
+    gates: List[GateInstance],
+    net_stats: Mapping[str, SignalStats],
+    circuit: Circuit,
+    model: GatePowerModel,
+    po_load: float,
+    current: bool = False,
+):
+    """One batched pricing call over ``gates`` as ``circuit`` stands.
+
+    Prices every configuration of every gate (only the present one with
+    ``current``) and returns ``(prices, loads)``: the
+    :class:`~repro.compiled.power.ConfigurationPrices` and each gate's
+    external load.
+    """
+    # Imported lazily: repro.compiled imports this package.
+    from ..compiled.power import price_configurations
+
+    loads = [circuit.output_load(gate.output, model.tech, po_load)
+             for gate in gates]
+    p_in, d_in = [], []
+    for gate in gates:
+        pins = [net_stats[gate.pin_nets[pin]] for pin in gate.template.pins]
+        p_in.append([s.probability for s in pins])
+        d_in.append([s.density for s in pins])
+    configs = [[gate.effective_config()] for gate in gates] if current else None
+    tracer = _trace.ACTIVE
+    span = (tracer.span("optimize.price", gates=len(gates))
+            if tracer is not None else _trace.NULL_SPAN)
+    with span:
+        prices = price_configurations(
+            model, [gate.template for gate in gates], p_in, d_in, loads,
+            configs,
+        )
+        span.note(candidates=prices.candidates, classes=prices.classes)
+    _CONFIGS_PRICED.inc(prices.candidates)
+    return prices, loads
+
+
 def _choose(
     objective: str,
     gate: GateInstance,
-    evaluations: List[ConfigEvaluation],
-    default_eval: ConfigEvaluation,
+    configs: List[GateConfig],
+    totals: Sequence[float],
+    default: int,
     model: GatePowerModel,
     load: float,
-) -> ConfigEvaluation:
-    """Pick one configuration under ``objective`` (deterministic ties)."""
+) -> int:
+    """Position in ``configs`` of the pick under ``objective`` (deterministic ties).
+
+    ``totals`` holds each configuration's modelled power and ``default``
+    the as-mapped configuration's position.
+    """
     template = gate.template
-    candidates = evaluations
+    candidates: Sequence[int] = range(len(configs))
     if objective == "delay-constrained":
-        candidates = _delay_feasible(
-            gate, evaluations, default_eval, model.tech, load
-        )
+        candidates = _delay_feasible(gate, configs, default, model.tech, load)
     if objective == "worst":
-        return min(candidates, key=lambda e: (-e.power, e.config.key()))
+        return min(candidates, key=lambda k: (-totals[k], configs[k].key()))
     if objective == "fastest":
         return min(
             candidates,
-            key=lambda e: (
+            key=lambda k: (
                 gate_worst_delay(
-                    template.compile_config(e.config), e.config,
+                    template.compile_config(configs[k]), configs[k],
                     model.tech, load,
                 ),
-                e.config.key(),
+                configs[k].key(),
             ),
         )
-    return min(candidates, key=lambda e: (e.power, e.config.key()))
+    return min(candidates, key=lambda k: (totals[k], configs[k].key()))
 
 
 def _delay_feasible(
     gate: GateInstance,
-    evaluations: List[ConfigEvaluation],
-    default_eval: ConfigEvaluation,
+    configs: List[GateConfig],
+    default: int,
     tech: TechParams,
     load: float,
-) -> List[ConfigEvaluation]:
-    """Configurations whose every pin delay is within the default's."""
-    compiled_default = gate.template.compile_config(default_eval.config)
+) -> List[int]:
+    """Positions of the configurations whose every pin delay is within the default's."""
+    default_config = configs[default]
+    compiled_default = gate.template.compile_config(default_config)
     limits = {
-        pin: gate_pin_delay(compiled_default, default_eval.config, pin, tech, load)
+        pin: gate_pin_delay(compiled_default, default_config, pin, tech, load)
         for pin in gate.template.pins
     }
     feasible = []
-    for evaluation in evaluations:
-        compiled = gate.template.compile_config(evaluation.config)
+    for k, config in enumerate(configs):
+        compiled = gate.template.compile_config(config)
         ok = all(
-            gate_pin_delay(compiled, evaluation.config, pin, tech, load)
+            gate_pin_delay(compiled, config, pin, tech, load)
             <= limits[pin] * (1.0 + 1e-9)
             for pin in gate.template.pins
         )
         if ok:
-            feasible.append(evaluation)
-    return feasible or [default_eval]
+            feasible.append(k)
+    return feasible or [default]
 
 
 def circuit_power(

@@ -107,10 +107,16 @@ class GatePowerModel:
                          stats: Mapping[str, SignalStats]) -> float:
         """``Σ_i T_{nk,xi}`` — expected node transitions per time unit."""
         probs = {pin: stats[pin].probability for pin in gate.inputs}
+        return self._node_terms(gate, node, stats, probs)[1]
+
+    def _node_terms(self, gate: CompiledGate, node: str,
+                    stats: Mapping[str, SignalStats],
+                    probs: Mapping[str, float]) -> Tuple[float, float]:
+        """``(P(n_k), Σ_i T_{nk,xi})`` from one ``P(H)``/``P(G)`` evaluation."""
         ph = gate.h[node].probability(probs)
         pg = gate.g[node].probability(probs)
         if ph + pg <= _EPS:
-            return 0.0
+            return 0.0, 0.0
         p_node = ph / (ph + pg)
         total = 0.0
         for pin in gate.inputs:
@@ -122,7 +128,7 @@ class GatePowerModel:
             total += density * self._transition_fraction(
                 node, p_dh, p_dg, p_node, ph, pg
             )
-        return total
+        return p_node, total
 
     def _transition_fraction(self, node: str, p_dh: float, p_dg: float,
                              p_node: float, ph: float, pg: float) -> float:
@@ -164,8 +170,7 @@ class GatePowerModel:
         factor = self.tech.switch_energy_factor
         for node in gate.nodes:
             cap = node_capacitance(gate, node, self.tech, load=output_load)
-            p_node = self.node_probability(gate, node, probs)
-            transitions = self.node_transitions(gate, node, stats)
+            p_node, transitions = self._node_terms(gate, node, stats, probs)
             entries.append(
                 NodePowerEntry(node, cap, p_node, transitions, factor * cap * transitions)
             )

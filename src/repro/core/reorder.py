@@ -113,7 +113,13 @@ def evaluate_configurations(
     output_load: float = 0.0,
     configs: Optional[List[GateConfig]] = None,
 ) -> List[ConfigEvaluation]:
-    """Model power of every configuration; deterministic order."""
+    """Model power of every configuration; deterministic order.
+
+    The per-configuration reference path.  The optimiser prices its
+    candidates in one batched call
+    (:func:`repro.compiled.power.price_configurations`), which the test
+    suite holds bit-identical to this oracle.
+    """
     if configs is None:
         configs = template.configurations()
     evaluations = []

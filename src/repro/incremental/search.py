@@ -648,6 +648,8 @@ class _BatchPricer:
         return scored
 
     def _reorder_totals(self, moves: Sequence["Move"]) -> np.ndarray:
+        from ..compiled.power import price_configurations
+
         cache = self.cache
         cc = self.cc
         kernel = self.kernel
@@ -656,26 +658,19 @@ class _BatchPricer:
         gid = cc.gate_id[gate.name]
         cc._sync_codes()
         load = cc.net_loads(kernel.model.tech, cache.po_load)[cc.out_net[gid]]
-        loads = np.asarray([load])
         p_in, d_in = kernel._gather([gid], len(template.pins), cache._stats)
+        configs = [template.default_config() if move.edit.config is None
+                   else move.edit.config for move in moves]
+        prices = price_configurations(kernel.model, [template], p_in, d_in,
+                                      [load], [configs])
         pos = cache.topo_index[gate.name]
-        replacements = []
-        for move in moves:
-            config = move.edit.config
-            if config is None:
-                config = template.default_config()
-            cls = kernel.class_for_gate(
-                template.compile_config(config),
-                (template.name, config.key()),
-            )
-            *_, totals = cls.evaluate(kernel.model, p_in, d_in, loads)
-            replacements.append({pos: float(totals[0])})
-        return self._fold(replacements)
+        return self._fold([{pos: total} for total in prices.totals[0]])
 
     def _retemplate_totals(self, moves: Sequence["Move"]
                            ) -> Optional[np.ndarray]:
         from ..compiled.backend import CompiledAnalyticBackend
         from ..compiled.circuit import _StatsClass
+        from ..compiled.power import power_class
 
         cache = self.cache
         backend = cache.backend
@@ -766,8 +761,7 @@ class _BatchPricer:
             repl = {
                 topo[gate_name]: total_of(
                     gid,
-                    kernel.class_for_gate(
-                        compiled, (new_template.name, config.key())),
+                    power_class(compiled),
                 )
             }
             for name, rid in zip(rest, rest_ids):

@@ -108,12 +108,16 @@ class PatternIndex:
         return max(self._tables) if self._tables else 0
 
 
+#: Keyed by library *contents*: equal libraries (every fresh
+#: ``default_library()``) share one index, and no library can pick up
+#: an index built for different templates.
 _PATTERN_CACHE: Dict[tuple, PatternIndex] = {}
 
 
 def _pattern_index(library: GateLibrary,
                    gate_names: Optional[Set[str]]) -> PatternIndex:
-    key = (id(library), None if gate_names is None else tuple(sorted(gate_names)))
+    contents = tuple(sorted((t.name, t.pdn_expr, t.pins) for t in library))
+    key = (contents, None if gate_names is None else tuple(sorted(gate_names)))
     index = _PATTERN_CACHE.get(key)
     if index is None:
         index = PatternIndex(library, gate_names)

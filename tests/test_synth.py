@@ -188,6 +188,22 @@ class TestPatternIndex:
         assert index.lookup(3, tt.bits) is None
         assert index.lookup(3, (~tt).bits) is None
 
+    def test_cache_keys_on_library_contents(self):
+        from repro.gates.library import GateLibrary
+        from repro.synth.mapper import _pattern_index
+
+        first = TechMapper(default_library()).patterns
+        assert TechMapper(default_library()).patterns is first
+        reduced = GateLibrary(
+            t for t in default_library() if t.name in {"inv", "nand2", "nor2"}
+        )
+        small = TechMapper(reduced).patterns
+        assert small is not first
+        assert small.max_leaves() == 2
+        assert _pattern_index(reduced, None) is small
+        # A gate-name filter is part of the key too.
+        assert _pattern_index(LIB, {"inv", "nand2"}) is not first
+
 
 class TestMapper:
     @pytest.mark.parametrize("builder", [
