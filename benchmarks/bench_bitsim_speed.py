@@ -10,11 +10,9 @@ Run with::
 
     pytest -m bench benchmarks/bench_bitsim_speed.py -s
 
-(the ``bench`` marker is deselected by default so tier-1 stays fast;
-``REPRO_BITSIM_BENCH_VECTORS`` shrinks the workload if needed).
+(the ``bench`` marker is deselected by default so tier-1 stays fast).
 """
 
-import os
 import time
 
 import pytest
@@ -25,7 +23,7 @@ from repro.sim.stimulus import ScenarioB
 from repro.sim.switchsim import SwitchLevelSimulator
 from repro.synth.mapper import map_circuit
 
-VECTORS = int(os.environ.get("REPRO_BITSIM_BENCH_VECTORS", "10000"))
+VECTORS = 10000
 LANES = 1000
 REQUIRED_SPEEDUP = 10.0
 

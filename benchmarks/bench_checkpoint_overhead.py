@@ -23,9 +23,8 @@ Run with::
     pytest -m bench benchmarks/bench_checkpoint_overhead.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_CKPT_BENCH_SAVE_LOOPS`` (save-cost timing
-loop length, default 50), ``REPRO_CKPT_BENCH_OUT`` (write the
-canonical JSON artifact there, ``repro bench`` style).
+``REPRO_CKPT_BENCH_OUT`` writes the canonical JSON artifact there
+(``repro bench`` style).
 """
 
 import os
@@ -49,7 +48,7 @@ from repro.synth.mapper import map_circuit
 #: less than this fraction of the uncheckpointed search's wall time.
 MAX_OVERHEAD = 0.05
 
-SAVE_LOOPS = int(os.environ.get("REPRO_CKPT_BENCH_SAVE_LOOPS", "50"))
+SAVE_LOOPS = 50
 
 RESULTS = []
 

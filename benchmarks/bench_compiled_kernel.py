@@ -16,10 +16,8 @@ Run with::
     pytest -m bench benchmarks/bench_compiled_kernel.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_COMPILED_BENCH_NODES`` (random-logic node
-count before mapping, default 1200), ``REPRO_COMPILED_BENCH_REPS``
-(timed repetitions, default 5), ``REPRO_COMPILED_BENCH_OUT`` (write
-the canonical JSON artifact there, ``repro bench`` style).
+``REPRO_COMPILED_BENCH_OUT`` writes the canonical JSON artifact there
+(``repro bench`` style).
 """
 
 import os
@@ -38,8 +36,8 @@ from repro.stochastic.density import local_stats, propagate_stats
 from repro.synth.mapper import map_circuit
 from repro.timing.sta import analyze_timing
 
-NODES = int(os.environ.get("REPRO_COMPILED_BENCH_NODES", "1200"))
-REPS = int(os.environ.get("REPRO_COMPILED_BENCH_REPS", "5"))
+NODES = 1200
+REPS = 5
 REQUIRED_SPEEDUP = 5.0
 
 RESULTS = []
@@ -66,10 +64,7 @@ def test_stats_propagation_speedup(setting):
     object_s, reference = _timed(lambda: local_stats(circuit, input_stats),
                                  REPS)
     compiled_s, flat = _timed(
-        lambda: propagate_stats(circuit, input_stats, "local",
-                                compiled=True),
-        REPS,
-    )
+        lambda: propagate_stats(circuit, input_stats, "local"), REPS)
     assert flat == reference, "compiled propagation drifted bit-wise"
     speedup = object_s / compiled_s
     print(f"\n{circuit.name}: {len(circuit)} gates, "
@@ -89,12 +84,12 @@ def test_stats_propagation_speedup(setting):
     assert speedup >= REQUIRED_SPEEDUP
 
 
-def test_timing_sweep_speedup(setting):
+def test_timing_sweep_speedup(setting, monkeypatch):
     circuit, _, compiled = setting
-    object_s, reference = _timed(
-        lambda: analyze_timing(circuit, compiled=False), REPS)
-    compiled_s, flat = _timed(
-        lambda: analyze_timing(circuit, compiled=True), REPS)
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_COMPILED", "0")  # the object-graph oracle
+        object_s, reference = _timed(lambda: analyze_timing(circuit), REPS)
+    compiled_s, flat = _timed(lambda: analyze_timing(circuit), REPS)
     assert flat.arrivals == reference.arrivals
     assert flat.delay == reference.delay
     assert flat.critical_path == reference.critical_path

@@ -16,14 +16,8 @@ Run with::
     pytest -m bench benchmarks/bench_compiled_sampler.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_SAMPLER_BENCH_NODES`` (random-logic node
-count for the refresh circuit, default 600),
-``REPRO_SAMPLER_BENCH_LANES``/``REPRO_SAMPLER_BENCH_STEPS`` (stream
-shape, default 256 x 256 — the step count is the vectorisation axis),
-``REPRO_SAMPLER_BENCH_EDITS`` (timed edits, default 15),
-``REPRO_SAMPLER_BENCH_SEARCH_NODES`` (node count for the greedy-pass
-circuit, default 250), ``REPRO_SAMPLER_BENCH_OUT`` (write the
-canonical JSON artifact there, ``repro bench`` style).
+``REPRO_SAMPLER_BENCH_OUT`` writes the canonical JSON artifact there
+(``repro bench`` style).
 """
 
 import os
@@ -40,11 +34,11 @@ from repro.incremental import StatsCache, search_circuit
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
 
-NODES = int(os.environ.get("REPRO_SAMPLER_BENCH_NODES", "600"))
-LANES = int(os.environ.get("REPRO_SAMPLER_BENCH_LANES", "256"))
-STEPS = int(os.environ.get("REPRO_SAMPLER_BENCH_STEPS", "256"))
-EDITS = int(os.environ.get("REPRO_SAMPLER_BENCH_EDITS", "15"))
-SEARCH_NODES = int(os.environ.get("REPRO_SAMPLER_BENCH_SEARCH_NODES", "250"))
+NODES = 600
+LANES = 256
+STEPS = 256
+EDITS = 15
+SEARCH_NODES = 250
 REQUIRED_SPEEDUP = 5.0
 
 RESULTS = []
@@ -59,15 +53,17 @@ def strip_cone(value):
     return value
 
 
-def test_sampled_refresh_speedup():
+def test_sampled_refresh_speedup(monkeypatch):
     circuit = map_circuit(random_logic(24, NODES, seed=7))
     input_stats = ScenarioA(seed=0).input_stats(circuit.inputs)
 
     def run(compiled):
         work = circuit.copy()
-        cache = StatsCache(work, dict(input_stats), backend="sampled",
-                           compiled=compiled, lanes=LANES, steps=STEPS,
-                           seed=4)
+        with monkeypatch.context() as patch:
+            if not compiled:  # the object-graph oracle
+                patch.setenv("REPRO_COMPILED", "0")
+            cache = StatsCache(work, dict(input_stats), backend="sampled",
+                               lanes=LANES, steps=STEPS, seed=4)
         cache.stats()  # warm: streams drawn, circuit settled
         gates = [g for g in work.gates
                  if g.template.num_configurations() > 1]
@@ -109,15 +105,18 @@ def test_sampled_refresh_speedup():
     assert speedup >= REQUIRED_SPEEDUP
 
 
-def test_batch_pricing_pass_speedup():
+def test_batch_pricing_pass_speedup(monkeypatch):
     circuit = map_circuit(random_logic(20, SEARCH_NODES, seed=7))
     input_stats = ScenarioA(seed=0).input_stats(circuit.inputs)
 
     def run(compiled):
-        start = time.perf_counter()
-        result = search_circuit(circuit, input_stats, objective="power",
-                                seed=3, max_rounds=1, compiled=compiled)
-        return time.perf_counter() - start, result
+        with monkeypatch.context() as patch:
+            if not compiled:  # the object-graph oracle
+                patch.setenv("REPRO_COMPILED", "0")
+            start = time.perf_counter()
+            result = search_circuit(circuit, input_stats, objective="power",
+                                    seed=3, max_rounds=1)
+            return time.perf_counter() - start, result
 
     object_s, reference = run(False)
     compiled_s, batched = run(True)

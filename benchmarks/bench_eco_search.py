@@ -15,10 +15,8 @@ Run with::
     pytest -m bench benchmarks/bench_eco_search.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_SEARCH_BENCH_NAIVE_SAMPLE`` (naive
-evaluations to wall-clock for the printed time comparison, default
-25), ``REPRO_SEARCH_BENCH_OUT`` (write the canonical JSON artifact
-there, ``repro bench`` style).
+``REPRO_SEARCH_BENCH_OUT`` writes the canonical JSON artifact there
+(``repro bench`` style).
 """
 
 import os
@@ -38,7 +36,7 @@ from repro.stochastic.density import local_stats
 from repro.synth.mapper import map_circuit
 
 REQUIRED_SPEEDUP = 10.0
-NAIVE_SAMPLE = int(os.environ.get("REPRO_SEARCH_BENCH_NAIVE_SAMPLE", "25"))
+NAIVE_SAMPLE = 25
 
 
 def largest_case_name() -> str:

@@ -12,9 +12,8 @@ Run with::
     pytest -m bench benchmarks/bench_incremental.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_INCR_BENCH_EDITS`` (edits per backend,
-default 40), ``REPRO_INCR_BENCH_OUT`` (write the canonical JSON
-artifact there, ``repro bench`` style).
+``REPRO_INCR_BENCH_OUT`` writes the canonical JSON artifact there
+(``repro bench`` style).
 """
 
 import os
@@ -34,7 +33,7 @@ from repro.sim.stimulus import ScenarioA
 from repro.stochastic.density import local_stats
 from repro.synth.mapper import map_circuit
 
-EDITS = int(os.environ.get("REPRO_INCR_BENCH_EDITS", "40"))
+EDITS = 40
 REQUIRED_SPEEDUP = 10.0
 LANES = 256
 STEPS = 32

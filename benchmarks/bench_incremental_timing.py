@@ -19,9 +19,8 @@ Run with::
     pytest -m bench benchmarks/bench_incremental_timing.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_TIMING_BENCH_EDITS`` (edits for the refresh
-comparison, default 60), ``REPRO_TIMING_BENCH_OUT`` (write the
-canonical JSON artifact there, ``repro bench`` style).
+``REPRO_TIMING_BENCH_OUT`` writes the canonical JSON artifact there
+(``repro bench`` style).
 """
 
 import os
@@ -45,7 +44,7 @@ from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
 from repro.timing.sta import analyze_timing
 
-EDITS = int(os.environ.get("REPRO_TIMING_BENCH_EDITS", "60"))
+EDITS = 60
 REQUIRED_SPEEDUP = 10.0
 
 

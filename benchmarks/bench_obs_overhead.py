@@ -22,9 +22,8 @@ Run with::
     pytest -m bench benchmarks/bench_obs_overhead.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_OBS_BENCH_GUARD_LOOPS`` (guard-cost timing
-loop length, default 200000), ``REPRO_OBS_BENCH_OUT`` (write the
-canonical JSON artifact there, ``repro bench`` style).
+``REPRO_OBS_BENCH_OUT`` writes the canonical JSON artifact there
+(``repro bench`` style).
 """
 
 import os
@@ -46,7 +45,7 @@ from repro.synth.mapper import map_circuit
 #: than this fraction of the search's wall time.
 MAX_OVERHEAD = 0.02
 
-GUARD_LOOPS = int(os.environ.get("REPRO_OBS_BENCH_GUARD_LOOPS", "200000"))
+GUARD_LOOPS = 200000
 
 RESULTS = []
 

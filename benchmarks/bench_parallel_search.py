@@ -17,11 +17,8 @@ Run with::
     pytest -m bench benchmarks/bench_parallel_search.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_PARALLEL_BENCH_NODES`` (random-logic node
-count before mapping, default 180), ``REPRO_PARALLEL_BENCH_TRIALS``
-(annealing trials per restart for the wall-clock floor, default 1200),
-``REPRO_PARALLEL_BENCH_OUT`` (write the canonical JSON artifact there,
-``repro bench`` style).
+``REPRO_PARALLEL_BENCH_OUT`` writes the canonical JSON artifact there
+(``repro bench`` style).
 """
 
 import os
@@ -43,8 +40,8 @@ from repro.incremental import search_circuit
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
 
-NODES = int(os.environ.get("REPRO_PARALLEL_BENCH_NODES", "180"))
-TRIALS = int(os.environ.get("REPRO_PARALLEL_BENCH_TRIALS", "1200"))
+NODES = 180
+TRIALS = 1200
 RESTARTS = 4
 REQUIRED_SPEEDUP = 2.0
 CPUS = os.cpu_count() or 1

@@ -10,11 +10,8 @@ Run with::
     pytest -m bench benchmarks/bench_runner_suite.py
 
 (the ``bench`` marker is deselected by default so these sweeps never
-slow tier-1 down).  Environment knobs: ``REPRO_BENCH_SUBSET``
-(``quick``/``full``, default quick), ``REPRO_BENCH_JOBS`` (default 2).
+slow tier-1 down).
 """
-
-import os
 
 import pytest
 
@@ -25,8 +22,8 @@ from repro.analysis.stats import mean
 from repro.bench.runner import load_artifact, run_suite
 from repro.bench.suite import benchmark_suite
 
-SUBSET = os.environ.get("REPRO_BENCH_SUBSET", "quick")
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "2"))
+SUBSET = "quick"
+JOBS = 2
 
 
 @pytest.fixture(scope="module")

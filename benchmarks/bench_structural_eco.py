@@ -18,9 +18,8 @@ Run with::
     pytest -m bench benchmarks/bench_structural_eco.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_STRUCT_BENCH_EDITS`` (add/rewire/remove
-cycles, default 25), ``REPRO_STRUCTURAL_BENCH_OUT`` (write the
-canonical JSON artifact there, ``repro bench`` style).
+``REPRO_STRUCTURAL_BENCH_OUT`` writes the canonical JSON artifact
+there (``repro bench`` style).
 """
 
 import os
@@ -39,7 +38,7 @@ from repro.sim.stimulus import ScenarioA
 from repro.stochastic.density import local_stats
 from repro.synth.mapper import map_circuit
 
-CYCLES = int(os.environ.get("REPRO_STRUCT_BENCH_EDITS", "25"))
+CYCLES = 25
 REQUIRED_SPEEDUP = 5.0
 
 

@@ -14,11 +14,9 @@ Shape claims under test (paper §5 / conclusions):
 * the average delay change is small (|D| below ~15 %, paper: +4 %);
 * the model average tracks the simulated average within a few points.
 
-Set ``REPRO_TABLE3_SUBSET=full`` for the full 30-circuit run (the
-default "quick" subset keeps CI fast).
+Runs the "quick" subset, which keeps CI fast; ``repro table3 --subset
+full`` runs all 30 circuits.
 """
-
-import os
 
 import pytest
 
@@ -26,7 +24,7 @@ from repro.analysis.experiments import run_table3
 from repro.analysis.report import format_percent, format_table
 from repro.analysis.stats import mean
 
-SUBSET = os.environ.get("REPRO_TABLE3_SUBSET", "quick")
+SUBSET = "quick"
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,13 @@ Supports the combinational subset used by the MCNC benchmark suite:
 covers), ``.gate`` (mapped netlists) and ``.end``, with ``\\``
 line continuations and ``#`` comments.  Latches are rejected — the
 paper optimises combinational multilevel circuits.
+
+Mapped netlists keep each gate's transistor ordering with the
+extended-BLIF parameter statement: a ``.gate`` line may be followed by
+``.param config INDEX``, where INDEX is the configuration's position
+in ``template.configurations()`` (the index a ``reorder`` eco-script
+entry uses; ``-1`` names the default, as there).  Gates without it
+have the template's default ordering.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..gates.library import GateLibrary
+from ..gates.library import GateLibrary, config_at, config_index
 from .logic import Cube, LogicError, LogicNetwork, LogicNode
 from .netlist import Circuit
 
@@ -174,14 +181,25 @@ def write_blif(network: LogicNetwork) -> str:
 
 
 def write_mapped_blif(circuit: Circuit) -> str:
-    """Serialise a mapped circuit using ``.gate`` lines."""
+    """Serialise a mapped circuit using ``.gate`` lines.
+
+    Each gate with a configuration set is followed by its
+    ``.param config INDEX`` line (see the module docstring).
+    """
     lines = [f".model {circuit.name}"]
     lines.append(".inputs " + " ".join(circuit.inputs))
     lines.append(".outputs " + " ".join(circuit.outputs))
     for gate in circuit.gates:
-        bindings = [f"{pin}={gate.pin_nets[pin]}" for pin in gate.template.pins]
+        template = gate.template
+        bindings = [f"{pin}={gate.pin_nets[pin]}" for pin in template.pins]
         bindings.append(f"{OUTPUT_PIN}={gate.output}")
-        lines.append(f".gate {gate.template.name} " + " ".join(bindings))
+        lines.append(f".gate {template.name} " + " ".join(bindings))
+        if gate.config is not None:
+            try:
+                index = config_index(template, gate.config)
+            except ValueError as error:
+                raise BlifError(f"gate {gate.name}: {error}") from None
+            lines.append(f".param config {index}")
     lines.append(".end")
     return "\n".join(lines) + "\n"
 
@@ -190,6 +208,7 @@ def parse_mapped_blif(text: str, library: GateLibrary,
                       default_name: str = "circuit") -> Circuit:
     """Parse a ``.gate``-style mapped BLIF back into a :class:`Circuit`."""
     circuit: Optional[Circuit] = None
+    gate = None
     counter = 0
     for lineno, tokens in _logical_lines(text):
         head = tokens[0]
@@ -214,8 +233,22 @@ def parse_mapped_blif(text: str, library: GateLibrary,
             if OUTPUT_PIN not in bindings:
                 raise BlifError(f"line {lineno}: .gate without {OUTPUT_PIN}= output")
             output = bindings.pop(OUTPUT_PIN)
-            circuit.add_gate(f"g{counter}", template_name, bindings, output)
+            gate = circuit.add_gate(f"g{counter}", template_name, bindings,
+                                    output)
             counter += 1
+        elif head == ".param":
+            if gate is None:
+                raise BlifError(f"line {lineno}: .param before any .gate")
+            if len(tokens) != 3 or tokens[1] != "config":
+                raise BlifError(
+                    f"line {lineno}: unsupported parameter {tokens[1:]}; "
+                    f"only '.param config INDEX' is read"
+                )
+            try:
+                config = config_at(gate.template, tokens[2])
+            except ValueError as error:
+                raise BlifError(f"line {lineno}: {error}") from None
+            circuit.set_config(gate.name, config)
         elif head == ".names":
             raise BlifError(f"line {lineno}: .names in mapped BLIF; use parse_blif")
         elif head == ".end":

@@ -252,10 +252,11 @@ class Circuit:
     def _invalidate_structure(self) -> None:
         """Drop memoised structure after a structural mutation.
 
-        The supported ECO edits (:meth:`apply_edit`) never change
-        connectivity, so they do **not** invalidate; only adding
-        inputs/outputs/gates does.  A memoised compiled form keeps an
-        edit listener alive, so it is detached before being dropped.
+        Adding inputs/outputs/gates and the structural edits
+        (:data:`StructuralEdit`) invalidate; reorders and template
+        swaps keep connectivity and do not.  A memoised compiled form
+        keeps an edit listener alive, so it is detached before being
+        dropped.
         """
         compiled = self._structure.pop("compiled", None)
         if compiled is not None:

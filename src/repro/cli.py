@@ -474,6 +474,7 @@ def _cmd_optimize(out, path: str, scenario: str, seed: int,
     from .circuit.blif import load_blif, write_mapped_blif
     from .circuit.verilog import write_verilog
     from .core.optimizer import optimize_circuit
+    from .robust.atomic import atomic_write_text
     from .sim.stimulus import ScenarioA, ScenarioB
     from .synth.mapper import map_circuit
     from .timing.sta import circuit_delay
@@ -517,12 +518,10 @@ def _cmd_optimize(out, path: str, scenario: str, seed: int,
     out.write(f"delay          : {format_si(d0, 's')} -> {format_si(d1, 's')} "
               f"({format_percent(change)}%)\n")
     if save_blif:
-        with open(save_blif, "w") as handle:
-            handle.write(write_mapped_blif(chosen.circuit))
+        atomic_write_text(save_blif, write_mapped_blif(chosen.circuit))
         out.write(f"wrote mapped BLIF to {save_blif}\n")
     if save_verilog:
-        with open(save_verilog, "w") as handle:
-            handle.write(write_verilog(chosen.circuit))
+        atomic_write_text(save_verilog, write_verilog(chosen.circuit))
         out.write(f"wrote Verilog to {save_verilog}\n")
     return 0
 
@@ -642,6 +641,7 @@ def _cmd_search(out, args) -> int:
     from .analysis.experiments import run_search
     from .bench.runner import write_artifact
     from .circuit.blif import load_blif, write_mapped_blif
+    from .robust.atomic import atomic_write_text
     from .sim.stimulus import ScenarioA, ScenarioB
     from .synth.mapper import map_circuit
 
@@ -761,8 +761,7 @@ def _cmd_search(out, args) -> int:
         write_artifact(result.to_artifact({"scenario": args.scenario}), args.out)
         out.write(f"wrote JSON artifact to {args.out}\n")
     if args.save_blif:
-        with open(args.save_blif, "w") as handle:
-            handle.write(write_mapped_blif(result.circuit))
+        atomic_write_text(args.save_blif, write_mapped_blif(result.circuit))
         out.write(f"wrote mapped BLIF to {args.save_blif}\n")
     return 130 if result.interrupted else 0
 

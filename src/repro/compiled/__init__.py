@@ -7,9 +7,10 @@ dirty-cone incremental forms — on index ranges instead of Python
 object traversals, with **bit-identical** results to the object-graph
 path (the equivalence contract ``tests/test_compiled.py`` locks).
 
-Consumers opt in per call with ``compiled=True`` or globally with the
-``REPRO_COMPILED`` environment flag; see ``README.md`` in this
-directory for the lowering, the SoA layout, and the contract.
+The kernels are the default engine; ``REPRO_COMPILED=0`` selects the
+object-graph oracle instead (:mod:`repro.compiled.flags`).  See
+``README.md`` in this directory for the lowering, the SoA layout, and
+the contract.
 
 The sampled twin (:mod:`repro.compiled.sampled`: uint64-blocked lane
 streams), the power kernel (:mod:`repro.compiled.power`: class-batched
@@ -19,12 +20,11 @@ package-level namespace — import them by module.
 """
 
 from .circuit import CompiledCircuit, get_compiled
-from .flags import ENV_VAR, compiled_default, use_compiled
+from .flags import ENV_VAR, compiled_default
 
 __all__ = [
     "CompiledCircuit",
     "get_compiled",
     "ENV_VAR",
     "compiled_default",
-    "use_compiled",
 ]

@@ -9,9 +9,8 @@ arrays instead of walking gate objects.  The backend keeps the live
 statistics flows through :meth:`update`, so the arrays never drift
 from the cache's map.
 
-Selected by ``StatsCache(..., compiled=True)`` or the
-``REPRO_COMPILED`` environment flag (see :mod:`repro.compiled.flags`);
-``name`` stays ``"analytic"`` so artifacts and reports are unaffected
+The default analytic backend (``REPRO_COMPILED=0`` selects the object
+one instead; see :mod:`repro.compiled.flags`); ``name`` stays ``"analytic"`` so artifacts and reports are unaffected
 by which engine produced the numbers — they are the same numbers.
 """
 

@@ -33,11 +33,14 @@ for statistics; same template *and* configuration for timing) share
 truth-table selections and delay terms, so one vectorised evaluation
 covers the whole group.
 
-Lowering is memoised per circuit (:func:`get_compiled`): the supported
-ECO edits never change connectivity, so the structure arrays stay
-valid for the circuit's lifetime, and an edit listener keeps the
-per-gate class codes current.  Structural mutation invalidates the
-memo (see :meth:`Circuit._invalidate_structure`).
+Lowering is memoised per circuit (:func:`get_compiled`): reorders and
+template swaps never change connectivity, so the structure arrays stay
+valid across them, and an edit listener keeps the per-gate class codes
+current.  Structural mutation invalidates the memo (see
+:meth:`Circuit._invalidate_structure`).  The classes themselves are
+shared process-wide (:func:`stats_class`), so re-lowering after a
+structural edit rebuilds index arrays and looks classes up; it derives
+no truth-table selections or delay terms.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import numpy as np
 from ..boolean.truthtable import TruthTable, _minterm_matrix
 from ..circuit.netlist import Circuit, CircuitError, GateInstance
 from ..gates.capacitance import TechParams, pin_terminal_counts
+from ..gates.library import GateConfig, GateTemplate
 from ..gates.network import OUT
 from ..obs.metrics import REGISTRY as _METRICS
 from ..stochastic.density import _EPS as _STATS_EPS
@@ -56,7 +60,7 @@ from ..stochastic.signal import SignalStats
 from ..timing.elmore import LN2, gate_pin_delay_terms
 from ..timing.sta import TimingReport, build_timing_report
 
-__all__ = ["CompiledCircuit", "get_compiled"]
+__all__ = ["CompiledCircuit", "get_compiled", "stats_class"]
 
 
 def _tt_selection(tt: TruthTable) -> np.ndarray:
@@ -138,9 +142,16 @@ _LOADS_REBUILDS = _METRICS.counter("compiled.net_loads.rebuilds")
 class _StatsClass:
     """Per-template data of the (P, D) kernel (function, not ordering)."""
 
-    __slots__ = ("arity", "mat", "const_p", "out_sel", "pin_diffs", "tt_bits")
+    __slots__ = ("arity", "mat", "const_p", "out_sel", "pin_diffs", "tt_bits",
+                 "pin_counts")
 
-    def __init__(self, output_tt: TruthTable):
+    def __init__(self, template: GateTemplate):
+        compiled = template.compile_config()
+        output_tt = compiled.output_tt
+        #: Transistor gate terminals per pin in template pin order (the
+        #: same for every ordering): a gate's fanin slot counts.
+        counts = pin_terminal_counts(compiled)
+        self.pin_counts = tuple(counts[pin] for pin in template.pins)
         self.arity = output_tt.nvars
         #: Dense truth-table bits — the sampled kernel keys its word
         #: evaluators (bitsim._compile_word_function) on (arity, bits).
@@ -170,12 +181,12 @@ class _TimingClass:
     __slots__ = ("arity", "out_terminals", "_compiled", "_config",
                  "_delay_cache")
 
-    def __init__(self, gate: GateInstance):
-        compiled = gate.compiled()
+    def __init__(self, template: GateTemplate, config: GateConfig):
+        compiled = template.compile_config(config)
         self.arity = len(compiled.inputs)
         self.out_terminals = compiled.terminal_counts[OUT]
         self._compiled = compiled
-        self._config = gate.effective_config()
+        self._config = config
         self._delay_cache: Dict[TechParams, tuple] = {}
 
     def delay_data(self, tech: TechParams) -> tuple:
@@ -197,6 +208,32 @@ class _TimingClass:
             data = (base_cap, tuple(pins))
             self._delay_cache[tech] = data
         return data
+
+
+#: Class data depends only on the template (statistics) or on the
+#: (template, configuration) pair (timing), never on the circuit, so
+#: each class is built once per process and shared by every lowering:
+#: re-lowering after a structural edit looks its classes up instead of
+#: re-deriving truth-table selections and delay terms.
+_STATS_CLASSES: Dict[GateTemplate, _StatsClass] = {}
+_TIMING_CLASSES: Dict[tuple, _TimingClass] = {}
+
+
+def stats_class(template: GateTemplate) -> _StatsClass:
+    """The process-wide statistics class of ``template``."""
+    cls = _STATS_CLASSES.get(template)
+    if cls is None:
+        cls = _StatsClass(template)
+        _STATS_CLASSES[template] = cls
+    return cls
+
+
+def _timing_class(template: GateTemplate, config: GateConfig) -> _TimingClass:
+    key = (template, config.key())
+    cls = _TIMING_CLASSES.get(key)
+    if cls is None:
+        cls = _TIMING_CLASSES[key] = _TimingClass(template, config)
+    return cls
 
 
 class CompiledCircuit:
@@ -223,18 +260,17 @@ class CompiledCircuit:
         # CSR fanin: gate g's pins (template order) occupy slots
         # fanin_ptr[g]:fanin_ptr[g+1].  Slot order is therefore the
         # gate-creation-then-template-pin order net_load sums in.
-        ptr = [0]
-        fanin: List[int] = []
-        for gate in gates:
-            fanin.extend(self.net_id[net] for net in gate.fanin_nets)
-            ptr.append(len(fanin))
-        self.fanin_ptr = np.asarray(ptr, dtype=np.int64)
-        self.fanin_net = np.asarray(fanin, dtype=np.int64)
+        net_id, gate_id = self.net_id, self.gate_id
+        fanins = [gate.fanin_nets for gate in gates]
+        self.fanin_ptr = np.cumsum([0] + [len(f) for f in fanins],
+                                   dtype=np.int64)
+        self.fanin_net = np.asarray([net_id[n] for f in fanins for n in f],
+                                    dtype=np.int64)
 
-        topo_names = [g.name for g in circuit.topo_gates()]
         self.topo_index = np.zeros(num_gates, dtype=np.int64)
-        for position, name in enumerate(topo_names):
-            self.topo_index[self.gate_id[name]] = position
+        self.topo_index[np.asarray(
+            [gate_id[g.name] for g in circuit.topo_gates()], dtype=np.int64
+        )] = np.arange(num_gates)
         levels_by_name = circuit.gate_levels()
         self.level = np.asarray(
             [levels_by_name[g.name] for g in gates], dtype=np.int64
@@ -249,13 +285,11 @@ class CompiledCircuit:
         # Deduplicated gate->sink-gate adjacency (CSR), for dirty-cone
         # descent; mirrors FanoutIndex.gate_sinks.
         index = circuit.fanout_index()
-        gs_ptr = [0]
-        gs_val: List[int] = []
-        for name in self.gate_names:
-            gs_val.extend(self.gate_id[s.name] for s in index.gate_sinks(name))
-            gs_ptr.append(len(gs_val))
-        self._gs_ptr = np.asarray(gs_ptr, dtype=np.int64)
-        self._gs_val = np.asarray(gs_val, dtype=np.int64)
+        sinks = [index.gate_sinks(name) for name in self.gate_names]
+        self._gs_ptr = np.cumsum([0] + [len(row) for row in sinks],
+                                 dtype=np.int64)
+        self._gs_val = np.asarray([gate_id[s.name] for row in sinks
+                                   for s in row], dtype=np.int64)
 
         # Class tables.  Statistics classes key on the template alone
         # (output functions are ordering-independent); timing classes
@@ -264,9 +298,15 @@ class CompiledCircuit:
         self._stats_keys: Dict[str, int] = {}
         self._timing_classes: List[_TimingClass] = []
         self._timing_keys: Dict[tuple, int] = {}
-        self.stats_code = np.zeros(num_gates, dtype=np.int64)
-        self.timing_code = np.zeros(num_gates, dtype=np.int64)
-        self.slot_count = np.zeros(len(self.fanin_net), dtype=np.int64)
+        stats_codes = [self._stats_code_for(gate) for gate in gates]
+        self.stats_code = np.asarray(stats_codes, dtype=np.int64)
+        self.timing_code = np.asarray(
+            [self._timing_code_for(gate) for gate in gates], dtype=np.int64)
+        # Per fanin slot, in slot (gate-then-template-pin) order.
+        self.slot_count = np.asarray(
+            [count for code in stats_codes
+             for count in self._stats_classes[code].pin_counts],
+            dtype=np.int64)
         self._stats_plan: Optional[list] = None
         #: Bumped whenever a template swap changes pin capacitances.
         self._cap_version = 0
@@ -275,10 +315,8 @@ class CompiledCircuit:
         #: Last (template, config) object seen per gate — identity
         #: checks let the batch entry points resynchronise codes for
         #: gates mutated outside the edit API (see :meth:`_sync_codes`).
-        self._seen_template: List[object] = [None] * num_gates
-        self._seen_config: List[object] = [None] * num_gates
-        for gid, gate in enumerate(gates):
-            self._apply_gate_codes(gid, gate)
+        self._seen_template: List[object] = [g.template for g in gates]
+        self._seen_config: List[object] = [g.config for g in gates]
 
         circuit.add_edit_listener(self._on_edit)
         self._subscribed = True
@@ -296,30 +334,27 @@ class CompiledCircuit:
         code = self._stats_keys.get(key)
         if code is None:
             code = len(self._stats_classes)
-            self._stats_classes.append(_StatsClass(gate.compiled().output_tt))
+            self._stats_classes.append(stats_class(gate.template))
             self._stats_keys[key] = code
         return code
 
     def _timing_code_for(self, gate: GateInstance) -> int:
-        key = (gate.template.name, gate.effective_config().key())
+        config = gate.effective_config()
+        key = (gate.template.name, config.key())
         code = self._timing_keys.get(key)
         if code is None:
             code = len(self._timing_classes)
-            self._timing_classes.append(_TimingClass(gate))
+            self._timing_classes.append(_timing_class(gate.template, config))
             self._timing_keys[key] = code
         return code
-
-    def _set_slot_counts(self, gid: int, gate: GateInstance) -> None:
-        counts = pin_terminal_counts(gate.compiled())
-        start = self.fanin_ptr[gid]
-        for j, pin in enumerate(gate.template.pins):
-            self.slot_count[start + j] = counts[pin]
 
     def _apply_gate_codes(self, gid: int, gate: GateInstance) -> None:
         """(Re)derive one gate's class codes from its current state."""
         if gate.template is not self._seen_template[gid]:
-            self.stats_code[gid] = self._stats_code_for(gate)
-            self._set_slot_counts(gid, gate)
+            code = self.stats_code[gid] = self._stats_code_for(gate)
+            counts = self._stats_classes[code].pin_counts
+            start = int(self.fanin_ptr[gid])
+            self.slot_count[start:start + len(counts)] = counts
             self._cap_version += 1
             self._stats_plan = None
             self._seen_template[gid] = gate.template

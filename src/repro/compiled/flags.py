@@ -1,14 +1,14 @@
-"""The compiled-kernel feature flag.
+"""The engine switch: compiled kernels or the object-graph oracle.
 
-Every entry point that can route through the flat-circuit kernels —
-``propagate_stats(method="local")``, ``analyze_timing``,
-``StatsCache``/``TimingCache``, ``search_circuit`` — takes a
-``compiled`` argument with three states:
-
-* ``True`` / ``False`` — explicit opt-in / opt-out for this call;
-* ``None`` (the default) — defer to the ``REPRO_COMPILED``
-  environment variable, so a whole run (or CI job) flips engines
-  without touching call sites.
+The flat-circuit kernels are the default engine.  The object graph
+stays as the reference oracle, selected by setting the
+``REPRO_COMPILED`` environment variable to a false spelling (``0``,
+``false``, ``no``, ``off`` or the empty string).  The choice is read
+once per object, when it is built: ``StatsCache``, ``TimingCache``,
+``make_backend`` and ``search_circuit``'s caches resolve it in their
+constructors, and the one-shot functions (``propagate_stats``,
+``analyze_timing``) on each call.  A cache built under one setting
+keeps its engine after the variable changes.
 
 The contract either way: compiled and object-graph results are
 **bit-identical** (``tests/test_compiled.py`` locks it), so the flag
@@ -18,9 +18,8 @@ is purely a performance switch.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-__all__ = ["ENV_VAR", "compiled_default", "use_compiled"]
+__all__ = ["ENV_VAR", "compiled_default"]
 
 ENV_VAR = "REPRO_COMPILED"
 
@@ -42,23 +41,12 @@ def _parse(value: str) -> bool:
 
 
 def compiled_default() -> bool:
-    """The ambient default: the ``REPRO_COMPILED`` environment flag."""
+    """Whether an object built now runs on the compiled kernels.
+
+    True unless ``REPRO_COMPILED`` parses false; an unrecognised
+    spelling raises instead of silently picking an engine.
+    """
     value = os.environ.get(ENV_VAR)
     if value is None:
-        return False
+        return True
     return _parse(value)
-
-
-def use_compiled(explicit: Optional[bool] = None) -> bool:
-    """Resolve one call's ``compiled`` argument against the ambient flag.
-
-    Strings parse through the same spellings as the environment flag —
-    a caller forwarding ``compiled="0"`` (say, straight from its own
-    environment or argv) means *off*, and ``bool("0")`` silently meant
-    *on* before this guard.
-    """
-    if explicit is None:
-        return compiled_default()
-    if isinstance(explicit, str):
-        return _parse(explicit)
-    return bool(explicit)

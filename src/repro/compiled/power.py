@@ -9,14 +9,15 @@ Boolean differences.  This module lowers that arithmetic the same way
 computes the per-minterm weight matrix of a whole same-class batch and
 reduces every node's probability/transition columns at once.
 
-Two consumers:
-
-* :func:`price_configurations` — every candidate configuration of a
-  batch of gates, one evaluation per class: the optimiser's one
-  pricing call per pass and the search engine's reorder-batch pricing;
-* :class:`CompiledPowerKernel` — the current configuration of a
-  compiled circuit's gates: :class:`~repro.incremental.cache.StatsCache`'s
-  compiled power refresh.
+One entry point, :func:`price_configurations`: every candidate
+configuration of a batch of gates, one evaluation per class.  Its
+callers are the optimiser (one pricing call per pass) and the search
+engine's retemplate pricer (each candidate's repriced gates); the
+circuit-side form :func:`price_gates` (pin statistics and loads read
+off a live circuit) serves
+:class:`~repro.incremental.cache.StatsCache`'s power refresh (each
+dirty gate's current configuration) and the search engine's reorder
+pricer.
 
 **The equivalence contract.**  Bit-identical to
 :class:`~repro.core.power_model.GatePowerModel` — every float comes
@@ -38,10 +39,8 @@ out of the same operations in the same order:
   node powers ``(factor * cap) * transitions`` keep the Python
   left-to-right association.
 
-Power classes key on (template, configuration) — the exact key space
-of the timing classes — and are built once per process
-(:func:`power_class`), so the circuit kernel reuses the compiled
-circuit's ``timing_code`` bookkeeping and both consumers share every
+Power classes key on (template, configuration) and are built once
+per process (:func:`power_class`), so every caller shares every
 class.
 """
 
@@ -61,10 +60,11 @@ from ..core.power_model import (
 from ..gates.library import GateConfig, GateTemplate
 from ..gates.network import OUT, CompiledGate
 from ..obs.metrics import REGISTRY as _METRICS
-from .circuit import CompiledCircuit, _pairwise_block, _tt_selection
+from ..stochastic.signal import SignalStats
+from .circuit import _pairwise_block, _tt_selection
 
-__all__ = ["CompiledPowerKernel", "ConfigurationPrices", "power_class",
-           "price_configurations"]
+__all__ = ["ConfigurationPrices", "power_class", "price_configurations",
+           "price_gates"]
 
 #: Process-global kernel metrics: power-kernel invocation counts and
 #: batch-size distribution (see :mod:`repro.compiled.circuit` for the
@@ -224,9 +224,6 @@ class _PowerClass:
 #: exactly one class per (template, configuration), built once.
 _CLASS_CACHE: Dict[CompiledGate, _PowerClass] = {}
 
-#: ``template.configurations()`` per template, enumerated once.
-_CONFIGURATIONS: Dict[GateTemplate, Tuple[GateConfig, ...]] = {}
-
 
 def power_class(compiled: CompiledGate) -> _PowerClass:
     """The shared kernel class of one compiled gate configuration."""
@@ -302,13 +299,7 @@ def price_configurations(
     :func:`repro.core.reorder.evaluate_configurations` computes.
     """
     if configs is None:
-        configs = []
-        for template in templates:
-            listed = _CONFIGURATIONS.get(template)
-            if listed is None:
-                listed = tuple(template.configurations())
-                _CONFIGURATIONS[template] = listed
-            configs.append(listed)
+        configs = [template.configurations() for template in templates]
     groups: Dict[_PowerClass, List[Tuple[int, int]]] = {}
     for i, (template, candidates) in enumerate(zip(templates, configs)):
         for j, config in enumerate(candidates):
@@ -332,89 +323,23 @@ def price_configurations(
                                len(groups), model.tech, where)
 
 
-class CompiledPowerKernel:
-    """Batched power pricing over one compiled circuit.
+def price_gates(model: GatePowerModel, cc, gates: Sequence,
+                stats: Mapping[str, SignalStats], po_load: float,
+                configs: Optional[Sequence[Sequence[GateConfig]]] = None,
+                ) -> ConfigurationPrices:
+    """:func:`price_configurations` for gates of a lowered circuit.
 
-    Classes come from the process-wide registry (:func:`power_class`);
-    per-gate class membership rides on the compiled circuit's
-    ``timing_code`` (same key space), so edit listeners keep it current
-    for free.
+    Each gate's pin statistics come from ``stats`` (net -> (P, D)) and
+    its output load from ``cc.net_loads`` (the compiled circuit
+    ``cc`` of the gates' circuit); its candidates are ``configs[i]``,
+    by default its current configuration alone.
     """
-
-    def __init__(self, cc: CompiledCircuit, model: GatePowerModel):
-        self.cc = cc
-        self.model = model
-
-    def class_for_code(self, code: int) -> _PowerClass:
-        """Class of the circuit's timing class ``code`` (same key space)."""
-        return power_class(self.cc._timing_classes[code]._compiled)
-
-    # ------------------------------------------------------------------
-    def _gather(self, gids: Sequence[int], arity: int,
-                stats: Mapping) -> tuple:
-        """Pin (P, D) matrices of same-arity gates from a stats map."""
-        cc = self.cc
-        count = len(gids)
-        p_in = np.empty((count, arity))
-        d_in = np.empty((count, arity))
-        for row, gid in enumerate(gids):
-            start = cc.fanin_ptr[gid]
-            for j in range(arity):
-                s = stats[cc.nets[cc.fanin_net[start + j]]]
-                p_in[row, j] = s.probability
-                d_in[row, j] = s.density
-        return p_in, d_in
-
-    def reports(self, names: Sequence[str], stats: Mapping,
-                po_load: float) -> Dict[str, GatePowerReport]:
-        """Fresh :class:`GatePowerReport` per gate, batched by class.
-
-        ``stats`` maps net name to :class:`SignalStats` (the cache's
-        current map); ``po_load`` is the resolved primary-output load.
-        Bit-identical to calling :meth:`GatePowerModel.gate_power` per
-        gate with loads from :func:`~repro.gates.capacitance.net_load`.
-        """
-        cc = self.cc
-        model = self.model
-        cc._sync_codes()
-        loads = cc.net_loads(model.tech, po_load)
-        gids = np.fromiter((cc.gate_id[n] for n in names), dtype=np.int64,
-                           count=len(names))
-        out: Dict[str, GatePowerReport] = {}
-        if not len(gids):
-            return out
-        codes = cc.timing_code[gids]
-        for code in np.unique(codes):
-            sub = gids[codes == code]
-            cls = self.class_for_code(int(code))
-            p_in, d_in = self._gather(sub, cls.arity, stats)
-            gate_loads = loads[cc.out_net[sub]]
-            columns = cls.evaluate(model, p_in, d_in, gate_loads)
-            for row, gid in enumerate(sub):
-                out[cc.gate_names[gid]] = _report(cls, columns, row,
-                                                  model.tech)
-        return out
-
-    def gate_totals(self, names: Sequence[str], stats: Mapping,
-                    po_load: float) -> np.ndarray:
-        """Total power per gate (no report objects), batched by class."""
-        cc = self.cc
-        model = self.model
-        cc._sync_codes()
-        loads = cc.net_loads(model.tech, po_load)
-        gids = np.fromiter((cc.gate_id[n] for n in names), dtype=np.int64,
-                           count=len(names))
-        totals = np.empty(len(gids))
-        if not len(gids):
-            return totals
-        codes = cc.timing_code[gids]
-        positions = np.arange(len(gids))
-        for code in np.unique(codes):
-            where = codes == code
-            sub = gids[where]
-            cls = self.class_for_code(int(code))
-            p_in, d_in = self._gather(sub, cls.arity, stats)
-            *_, batch_totals = cls.evaluate(model, p_in, d_in,
-                                            loads[cc.out_net[sub]])
-            totals[positions[where]] = batch_totals
-        return totals
+    loads = cc.net_loads(model.tech, po_load)
+    pins = [[stats[net] for net in gate.fanin_nets] for gate in gates]
+    return price_configurations(
+        model, [gate.template for gate in gates],
+        [[s.probability for s in row] for row in pins],
+        [[s.density for s in row] for row in pins],
+        [loads[cc.net_id[gate.output]] for gate in gates],
+        configs if configs is not None else [[gate.config] for gate in gates],
+    )

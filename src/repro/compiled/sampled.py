@@ -26,10 +26,10 @@ Entry points:
 * :class:`SampledKernel` — the raw ``(nets, steps, blocks)`` history
   with full settling and dirty-cone resettling;
 * :class:`CompiledSampledBackend` — the :class:`StatsCache` backend
-  (``make_backend("sampled", compiled=True)``), a drop-in for
+  (``make_backend("sampled")`` on the default engine), a drop-in for
   :class:`~repro.incremental.backends.SampledBackend`;
 * :func:`compiled_sampled_stats` — the
-  ``propagate_stats(method="sampled", compiled=True)`` engine,
+  default ``propagate_stats(method="sampled")`` engine,
   bit-identical to :func:`repro.sim.bitsim.sampled_stats`.
 """
 

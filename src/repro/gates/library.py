@@ -23,7 +23,8 @@ from . import sptree
 from .network import CompiledGate, TransistorNetwork
 from .sptree import SPTree
 
-__all__ = ["GateConfig", "GateTemplate", "GateLibrary", "default_library", "TABLE2_GATES"]
+__all__ = ["GateConfig", "GateTemplate", "GateLibrary", "config_at",
+           "config_index", "default_library", "TABLE2_GATES"]
 
 
 @dataclass(frozen=True)
@@ -102,18 +103,44 @@ class GateTemplate:
         return Not(sptree.to_expr(self.pdn, "n")).to_truthtable(self.pins)
 
     def default_config(self) -> GateConfig:
-        """The as-mapped configuration: canonical PDN and its dual PUN."""
-        return GateConfig(self.pdn, sptree.dual(self.pdn))
+        """The as-mapped configuration: canonical PDN and its dual PUN.
+
+        Memoised: one object per template keeps :meth:`GateConfig.key`'s
+        own memo warm for every default-ordered gate (the compiled
+        lowering looks it up once per gate).
+        """
+        cached = getattr(self, "_default_config", None)
+        if cached is None:
+            cached = GateConfig(self.pdn, sptree.dual(self.pdn))
+            object.__setattr__(self, "_default_config", cached)
+        return cached
 
     def num_configurations(self) -> int:
         """Table 2's #C column: distinct orderings of PDN × PUN."""
         return sptree.num_orderings(self.pdn) * sptree.num_orderings(sptree.dual(self.pdn))
 
     def configurations(self) -> List[GateConfig]:
-        """Every distinct transistor ordering (brute-force enumeration)."""
-        pdns = list(sptree.enumerate_orderings(self.pdn))
-        puns = list(sptree.enumerate_orderings(sptree.dual(self.pdn)))
-        return [GateConfig(p, q) for p in pdns for q in puns]
+        """Every distinct transistor ordering (brute-force enumeration).
+
+        Enumerated once per template; each call returns a fresh list
+        of the same :class:`GateConfig` objects.
+        """
+        return list(self._enumerated()[0])
+
+    def _enumerated(self) -> Tuple[Tuple[GateConfig, ...], Dict[tuple, int]]:
+        """The memoised enumeration and its :meth:`GateConfig.key` ->
+        position map (first position on a repeated key)."""
+        cached = getattr(self, "_enumeration", None)
+        if cached is None:
+            pdns = list(sptree.enumerate_orderings(self.pdn))
+            puns = list(sptree.enumerate_orderings(sptree.dual(self.pdn)))
+            configs = tuple(GateConfig(p, q) for p in pdns for q in puns)
+            positions: Dict[tuple, int] = {}
+            for index, config in enumerate(configs):
+                positions.setdefault(config.key(), index)
+            cached = (configs, positions)
+            object.__setattr__(self, "_enumeration", cached)
+        return cached
 
     def compile_config(self, config: Optional[GateConfig] = None) -> CompiledGate:
         """Compile (with caching) a configuration of this gate."""
@@ -123,6 +150,45 @@ class GateTemplate:
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(self.pins)})"
+
+
+def config_index(template: GateTemplate,
+                 config: Optional[GateConfig]) -> int:
+    """Position of ``config`` in ``template.configurations()``.
+
+    The integer form of a configuration that eco scripts, saved BLIF
+    netlists and worker specs carry; ``None`` (the template default)
+    is ``-1``.  Configurations match by :meth:`GateConfig.key`, the
+    ordering identity used everywhere else, so a configuration built
+    by hand still finds its position.  Raises :class:`ValueError` for
+    a configuration that is not one of the template's orderings.
+    """
+    if config is None:
+        return -1
+    index = template._enumerated()[1].get(config.key())
+    if index is None:
+        raise ValueError(
+            f"configuration {config} is not one of template "
+            f"{template.name!r}'s enumerated orderings"
+        )
+    return index
+
+
+def config_at(template: GateTemplate, index) -> Optional[GateConfig]:
+    """Inverse of :func:`config_index`: ``-1`` is the default (``None``).
+
+    Raises :class:`ValueError` for an index outside the enumeration.
+    """
+    index = int(index)
+    if index == -1:
+        return None
+    configs = template._enumerated()[0]
+    if not 0 <= index < len(configs):
+        raise ValueError(
+            f"config index {index} outside 0..{len(configs) - 1} for "
+            f"template {template.name!r}"
+        )
+    return configs[index]
 
 
 class GateLibrary:

@@ -200,44 +200,38 @@ class SampledBackend(StatsBackend):
         return {net: report.measured_stats(net) for net in updated}
 
 
-def make_backend(backend, compiled: Optional[bool] = None,
-                 **kwargs) -> StatsBackend:
+def make_backend(backend, **kwargs) -> StatsBackend:
     """Resolve a backend name (or pass through an instance).
 
-    ``"analytic"``/``"local"`` select :class:`AnalyticBackend` — or its
-    flat-array twin :class:`repro.compiled.backend.CompiledAnalyticBackend`
-    when ``compiled`` resolves true (``None`` defers to the
-    ``REPRO_COMPILED`` environment flag; results are bit-identical
-    either way).  ``"sampled"`` selects :class:`SampledBackend`
-    (forwarding ``lanes``/``steps``/``dt``/``seed``) — or its
+    ``"analytic"``/``"local"`` select the flat-array
+    :class:`repro.compiled.backend.CompiledAnalyticBackend`, and
+    ``"sampled"`` (forwarding ``lanes``/``steps``/``dt``/``seed``) its
     uint64-block twin
-    :class:`repro.compiled.sampled.CompiledSampledBackend` under the
-    same routing, again bit-identical.
+    :class:`repro.compiled.sampled.CompiledSampledBackend`.  Under
+    ``REPRO_COMPILED=0`` they select the object-graph oracles
+    :class:`AnalyticBackend` and :class:`SampledBackend` instead;
+    results are bit-identical either way.
     """
     if isinstance(backend, StatsBackend):
         if kwargs:
             raise TypeError(
                 f"backend arguments {sorted(kwargs)} conflict with an instance"
             )
-        if compiled:
-            raise TypeError("compiled= conflicts with a backend instance")
         return backend
+    from ..compiled.flags import compiled_default
+
     if backend in ("analytic", "local"):
         if kwargs:
             raise TypeError(
                 f"the analytic backend takes no arguments: {sorted(kwargs)}"
             )
-        from ..compiled.flags import use_compiled
-
-        if use_compiled(compiled):
+        if compiled_default():
             from ..compiled.backend import CompiledAnalyticBackend
 
             return CompiledAnalyticBackend()
         return AnalyticBackend()
     if backend == "sampled":
-        from ..compiled.flags import use_compiled
-
-        if use_compiled(compiled):
+        if compiled_default():
             from ..compiled.sampled import CompiledSampledBackend
 
             return CompiledSampledBackend(**kwargs)

@@ -51,12 +51,13 @@ _FALLBACKS = _GLOBAL_METRICS.counter("robust.fallback")
 class StatsCache:
     """Circuit-wide (P, D) and power, re-propagated only where dirty.
 
-    ``compiled`` routes the statistics backend through the flat-array
-    kernels of :mod:`repro.compiled` (analytic and sampled both have
-    compiled twins) **and** the power refresh through the class-batched
-    :class:`~repro.compiled.power.CompiledPowerKernel`; ``None`` defers
-    to the ``REPRO_COMPILED`` environment flag, and every cached float
-    is bit-identical either way.
+    The engine is chosen once, when the cache is built: the
+    statistics backend runs on the flat-array kernels of
+    :mod:`repro.compiled` (analytic and sampled both have compiled
+    twins) and the power refresh prices every dirty gate in one
+    :func:`~repro.compiled.power.price_configurations` call, unless
+    ``REPRO_COMPILED=0`` selects the object-graph oracle.  Every cached
+    float is bit-identical either way.
     """
 
     def __init__(self, circuit: Circuit,
@@ -64,21 +65,18 @@ class StatsCache:
                  backend="analytic",
                  model: Optional[GatePowerModel] = None,
                  po_load: float = DEFAULT_PO_LOAD,
-                 compiled: Optional[bool] = None,
                  **backend_kwargs):
         circuit.validate()
         missing = [n for n in circuit.inputs if n not in input_stats]
         if missing:
             raise KeyError(f"missing input statistics for {missing}")
         self.circuit = circuit
-        self.backend = make_backend(backend, compiled=compiled,
-                                    **backend_kwargs)
-        from ..compiled.flags import use_compiled
+        self.backend = make_backend(backend, **backend_kwargs)
+        from ..compiled.flags import compiled_default
 
         #: Route the power refresh through the compiled kernel under
         #: the same flag that routes the statistics backend.
-        self._compiled_power = use_compiled(compiled)
-        self._power_kernel_obj = None
+        self._compiled_power = compiled_default()
         self.model = model if model is not None else GatePowerModel()
         _, self.po_load = timing_context(self.model.tech, po_load)
         # Memoised on the circuit: a second cache (or a search run)
@@ -113,6 +111,13 @@ class StatsCache:
         self.trial_stack: list = []
         circuit.add_edit_listener(self._on_edit)
         self._subscribed = True
+
+    @property
+    def compiled_power(self) -> bool:
+        """Whether the power refresh runs on the compiled kernel: set
+        by the engine flag when the cache is built, cleared for good if
+        a kernel failure latches the object-path fallback."""
+        return self._compiled_power
 
     @property
     def gates_repropagated(self) -> int:
@@ -258,17 +263,16 @@ class StatsCache:
         return net_load(self.index.sinks(net), net in self._outputs,
                         self.model.tech, self.po_load)
 
-    def power_kernel(self):
-        """The memoised :class:`CompiledPowerKernel` (compiled mode only)."""
+    def _kernel_reports(self, names) -> Dict[str, GatePowerReport]:
+        """Reports of the named gates' current configurations, priced
+        in one batched kernel call (loads from the compiled circuit)."""
         from ..compiled.circuit import get_compiled
-        from ..compiled.power import CompiledPowerKernel
+        from ..compiled.power import price_gates
 
-        cc = get_compiled(self.circuit)
-        kernel = self._power_kernel_obj
-        if kernel is None or kernel.cc is not cc:
-            kernel = CompiledPowerKernel(cc, self.model)
-            self._power_kernel_obj = kernel
-        return kernel
+        gates = [self.circuit.gate(name) for name in names]
+        prices = price_gates(self.model, get_compiled(self.circuit), gates,
+                             self._stats, self.po_load)
+        return {name: prices.report(i, 0) for i, name in enumerate(names)}
 
     def _refresh_power(self) -> None:
         self.refresh()
@@ -287,8 +291,7 @@ class StatsCache:
             if self._compiled_power:
                 try:
                     _faults.fire("kernel.power")
-                    reports = self.power_kernel().reports(
-                        names, self._stats, self.po_load)
+                    reports = self._kernel_reports(names)
                 except Exception as error:
                     # Graceful degradation: the compiled kernel produces
                     # bit-identical floats to the object path, so a
@@ -299,7 +302,6 @@ class StatsCache:
                     if _faults.strict_mode():
                         raise
                     self._compiled_power = False
-                    self._power_kernel_obj = None
                     _FALLBACKS.inc()
                     if tracer is not None:
                         span.note(route="fallback")

@@ -59,6 +59,7 @@ from ..circuit.netlist import (
     StructuralEdit,
     lookup_template,
 )
+from ..gates.library import config_at
 from ..stochastic.signal import SignalStats
 from .cache import StatsCache
 from .timing import TimingCache
@@ -270,20 +271,6 @@ _ENTRY_KEYS = {
 }
 
 
-def _config_from_index(template, index, label):
-    """``template.configurations()[index]`` with -1 = default (None)."""
-    index = int(index)
-    if index == -1:
-        return None
-    configurations = template.configurations()
-    if not 0 <= index < len(configurations):
-        raise ValueError(
-            f"{label}: config index {index} outside "
-            f"0..{len(configurations) - 1}"
-        )
-    return configurations[index]
-
-
 def resolve_edit(circuit: Circuit, entry: Mapping) -> EcoEdit:
     """Turn one JSON script entry into an :data:`EcoEdit`."""
     op = entry.get("op")
@@ -303,20 +290,14 @@ def resolve_edit(circuit: Circuit, entry: Mapping) -> EcoEdit:
         gate = circuit.gate(entry["gate"])
         return SetConfig(
             gate.name,
-            _config_from_index(
-                gate.template, entry["config"],
-                f"gate {gate.name} ({gate.template.name})",
-            ),
+            config_at(gate.template, entry["config"]),
         )
     if op == "retemplate":
         gate = circuit.gate(entry["gate"])
         template = lookup_template(circuit.library, entry["template"])
         config = None
         if "config" in entry:
-            config = _config_from_index(
-                template, entry["config"],
-                f"gate {gate.name} (-> {template.name})",
-            )
+            config = config_at(template, entry["config"])
         return SetTemplate(gate.name, template.name, config)
     if op == "input-stats":
         return InputStatsEdit(
@@ -336,10 +317,7 @@ def resolve_edit(circuit: Circuit, entry: Mapping) -> EcoEdit:
             )
         config = None
         if "config" in entry:
-            config = _config_from_index(
-                template, entry["config"],
-                f"add-gate {entry['gate']} ({template.name})",
-            )
+            config = config_at(template, entry["config"])
         return AddGate(
             str(entry["gate"]), template.name,
             tuple((pin, str(pins[pin])) for pin in template.pins),

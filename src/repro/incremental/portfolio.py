@@ -7,9 +7,10 @@ those restarts over worker processes — each worker rebuilds the
 circuit from a plain-data spec and runs the ordinary
 :func:`~repro.incremental.search.search_circuit` annealer on its own
 :class:`~repro.incremental.cache.StatsCache` /
-:class:`~repro.incremental.timing.TimingCache` (and, under the
-``REPRO_COMPILED`` flag, its own
-:class:`~repro.compiled.circuit.CompiledCircuit`) — and merges the
+:class:`~repro.incremental.timing.TimingCache` (and, on the default
+compiled engine, its own
+:class:`~repro.compiled.circuit.CompiledCircuit`; workers inherit
+``REPRO_COMPILED`` from the parent's environment) — and merges the
 outcomes deterministically.
 
 Determinism is the design constraint, not an afterthought:
@@ -43,6 +44,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..circuit.netlist import Circuit
+from ..gates.library import config_at, config_index
 from ..robust import faults as _faults
 from ..stochastic.signal import SignalStats
 
@@ -74,21 +76,6 @@ def restart_seed(seed: int, index: int) -> int:
 # ----------------------------------------------------------------------
 # Picklable circuit round-trip
 # ----------------------------------------------------------------------
-def _config_index(gate) -> Optional[int]:
-    """Position of the gate's configuration in the template enumeration."""
-    if gate.config is None:
-        return None
-    key = gate.config.key()
-    for index, config in enumerate(gate.template.configurations()):
-        if config.key() == key:
-            return index
-    raise ValueError(
-        f"gate {gate.name}: configuration is not in "
-        f"{gate.template.name}'s enumeration and cannot be shipped "
-        f"to a worker process"
-    )
-
-
 def circuit_spec(circuit: Circuit) -> Dict[str, object]:
     """A plain-data description a worker can rebuild the circuit from.
 
@@ -112,7 +99,8 @@ def circuit_spec(circuit: Circuit) -> Dict[str, object]:
                 gate.template.name,
                 [(pin, gate.pin_nets[pin]) for pin in gate.template.pins],
                 gate.output,
-                _config_index(gate),
+                (None if gate.config is None
+                 else config_index(gate.template, gate.config)),
             )
             for gate in circuit.gates
         ],
@@ -130,10 +118,9 @@ def circuit_from_spec(spec: Mapping[str, object]) -> Circuit:
     circuit = Circuit(spec["name"], library)
     for net in spec["inputs"]:
         circuit.add_input(net)
-    for name, template_name, pin_nets, output, config_index in spec["gates"]:
+    for name, template_name, pin_nets, output, index in spec["gates"]:
         template = library[template_name]
-        config = (None if config_index is None
-                  else template.configurations()[config_index])
+        config = None if index is None else config_at(template, index)
         circuit.add_gate(name, template_name, dict(pin_nets), output, config)
     for net in spec["outputs"]:
         circuit.add_output(net)

@@ -10,13 +10,15 @@ then rollback — so scoring a move costs the edited gate's fanout cone,
 not the whole circuit (``benchmarks/bench_eco_search.py`` holds this
 to a >= 10x floor against naive full-circuit rescoring).
 
-In compiled mode (``compiled=`` / the ``REPRO_COMPILED`` flag) the
-greedy pure-power sweep goes one step further: all same-gate
-candidates of a pass are priced in one vectorised kernel invocation
-(:class:`_BatchPricer`) instead of per-move trials — reorders touch
-only the gate's own power row, retemplate cones resettle on scratch
-copies of the compiled backend's arrays — with scores, accept
-decisions and the move trace bit-identical to the WhatIf path
+On the compiled engine (the default; ``REPRO_COMPILED=0`` selects the
+object-graph oracle) the greedy pure-power sweep goes one step
+further: all same-gate candidates of a pass are priced in one
+vectorised kernel invocation (:class:`_BatchPricer`, one
+:func:`~repro.compiled.power.price_configurations` call per batch)
+instead of per-move trials — reorders touch only the gate's own power
+row, retemplate cones resettle on scratch copies of the compiled
+backend's arrays — with scores, accept decisions and the move trace
+bit-identical to the WhatIf path
 (``benchmarks/bench_compiled_sampler.py`` holds the pass-level
 speedup to a >= 5x floor and ``tests/test_batch_pricing.py`` the
 artifact equality).
@@ -90,9 +92,8 @@ from ..circuit.netlist import (
     SetTemplate,
     lookup_template,
 )
-from ..compiled.flags import use_compiled
 from ..core.power_model import GatePowerModel
-from ..gates.capacitance import pin_terminal_counts
+from ..gates.library import config_index
 from ..obs import progress as _progress
 from ..obs import trace as _trace
 from ..obs.metrics import REGISTRY as _GLOBAL_METRICS
@@ -213,24 +214,6 @@ def make_objective(objective: Union[str, Objective],
 # ----------------------------------------------------------------------
 # Move enumeration
 # ----------------------------------------------------------------------
-def _config_index(template, config, gate_name: str) -> int:
-    """Position of ``config`` in the template's enumeration.
-
-    A hand-built :class:`GateConfig` can legally configure a gate
-    without appearing in :meth:`GateTemplate.configurations`; such a
-    configuration has no script form, and the error says so instead of
-    leaking a bare ``StopIteration``.
-    """
-    key = config.key()
-    for index, candidate in enumerate(template.configurations()):
-        if candidate.key() == key:
-            return index
-    raise ValueError(
-        f"gate {gate_name}: accepted configuration is not in template "
-        f"{template.name!r}'s enumeration and cannot be scripted"
-    )
-
-
 def _structural_entry(circuit: Circuit,
                       edit: Union[AddGate, RemoveGate, RewireNet]
                       ) -> Dict[str, object]:
@@ -245,7 +228,7 @@ def _structural_entry(circuit: Circuit,
         }
         if edit.config is not None:
             template = lookup_template(circuit.library, edit.template)
-            entry["config"] = _config_index(template, edit.config, edit.gate)
+            entry["config"] = config_index(template, edit.config)
         return entry
     if isinstance(edit, RemoveGate):
         return {"op": "remove-gate", "gate": edit.gate}
@@ -288,22 +271,27 @@ class Move:
         moves return the list of entries their edit sequence replays
         as (flattened into scripts by :meth:`SearchResult.eco_script`).
         """
-        if isinstance(self.edit, tuple):
-            return [_structural_entry(circuit, edit) for edit in self.edit]
-        if isinstance(self.edit, SetConfig):
-            if self.edit.config is None:
-                index = -1
-            else:
+        try:
+            if isinstance(self.edit, tuple):
+                return [_structural_entry(circuit, edit)
+                        for edit in self.edit]
+            if isinstance(self.edit, SetConfig):
                 template = circuit.gate(self.gate).template
-                index = _config_index(template, self.edit.config, self.gate)
-            return {"op": "reorder", "gate": self.gate, "config": index}
-        entry = {"op": "retemplate", "gate": self.gate,
-                 "template": self.edit.template}
-        if self.edit.config is not None:
-            template = lookup_template(circuit.library, self.edit.template)
-            entry["config"] = _config_index(template, self.edit.config,
-                                            self.gate)
-        return entry
+                return {"op": "reorder", "gate": self.gate,
+                        "config": config_index(template, self.edit.config)}
+            entry = {"op": "retemplate", "gate": self.gate,
+                     "template": self.edit.template}
+            if self.edit.config is not None:
+                template = lookup_template(circuit.library,
+                                           self.edit.template)
+                entry["config"] = config_index(template, self.edit.config)
+            return entry
+        except ValueError as error:
+            # A hand-built GateConfig can configure a gate without being
+            # one of its template's enumerated orderings.
+            raise ValueError(
+                f"gate {self.gate}: {error}, so the move cannot be scripted"
+            ) from None
 
 
 def swap_groups(circuit: Circuit) -> Dict[Tuple[str, ...], List[str]]:
@@ -581,19 +569,17 @@ class _BatchPricer:
     """
 
     def __init__(self, state: "_Search"):
+        from ..compiled.circuit import get_compiled
+
         self.state = state
         self.cache = state.cache
-        self.kernel = self.cache.power_kernel()
-        self.cc = self.kernel.cc
+        self.model = self.cache.model
+        self.cc = get_compiled(state.circuit)
         self._templates = {t.name: t for t in state.circuit.library}
         #: Gate names in topological order — the exact iteration order
         #: of :meth:`StatsCache.total_power`'s summation.
         self._names = sorted(self.cache.topo_index,
                              key=self.cache.topo_index.__getitem__)
-        #: Candidate-template statistics classes, keyed by template
-        #: name (the compiled circuit's own key space) and built
-        #: lazily without touching the circuit's class registry.
-        self._stats_classes: Dict[str, object] = {}
         self._totals: Optional[np.ndarray] = None
 
     def invalidate(self) -> None:
@@ -648,37 +634,28 @@ class _BatchPricer:
         return scored
 
     def _reorder_totals(self, moves: Sequence["Move"]) -> np.ndarray:
-        from ..compiled.power import price_configurations
+        from ..compiled.power import price_gates
 
         cache = self.cache
-        cc = self.cc
-        kernel = self.kernel
         gate = self.state.circuit.gate(moves[0].gate)
-        template = gate.template
-        gid = cc.gate_id[gate.name]
-        cc._sync_codes()
-        load = cc.net_loads(kernel.model.tech, cache.po_load)[cc.out_net[gid]]
-        p_in, d_in = kernel._gather([gid], len(template.pins), cache._stats)
-        configs = [template.default_config() if move.edit.config is None
-                   else move.edit.config for move in moves]
-        prices = price_configurations(kernel.model, [template], p_in, d_in,
-                                      [load], [configs])
+        prices = price_gates(self.model, self.cc, [gate], cache._stats,
+                             cache.po_load,
+                             [[move.edit.config for move in moves]])
         pos = cache.topo_index[gate.name]
         return self._fold([{pos: total} for total in prices.totals[0]])
 
     def _retemplate_totals(self, moves: Sequence["Move"]
                            ) -> Optional[np.ndarray]:
         from ..compiled.backend import CompiledAnalyticBackend
-        from ..compiled.circuit import _StatsClass
-        from ..compiled.power import power_class
+        from ..compiled.circuit import stats_class
+        from ..compiled.power import price_configurations
 
         cache = self.cache
         backend = cache.backend
         if not isinstance(backend, CompiledAnalyticBackend):
             return None
         cc = self.cc
-        kernel = self.kernel
-        model = kernel.model
+        model = self.model
         tech = model.tech
         circuit = self.state.circuit
         gate_name = moves[0].gate
@@ -692,7 +669,6 @@ class _BatchPricer:
                       key=topo.__getitem__)
         rest_ids = np.fromiter((cc.gate_id[n] for n in rest),
                                dtype=np.int64, count=len(rest))
-        preds = [g.name for g in circuit.fanin_drivers(gate_name)]
         fanin = cc._fanin_matrix(np.asarray([gid], dtype=np.int64),
                                  len(gate.template.pins))
         out = int(cc.out_net[gid])
@@ -704,31 +680,35 @@ class _BatchPricer:
             net: [int(s) for s in np.flatnonzero(cc.fanin_net == net)]
             for net in sorted({int(n) for n in cc.fanin_net[slot_lo:slot_hi]})
         }
+        # Repriced rows: the gate itself (new class), its cone (new
+        # input statistics) and its fanin drivers (new loads) —
+        # exactly the trial's power-dirty set.
+        others = rest + [g.name for g in circuit.fanin_drivers(gate_name)]
+        repriced = [gid] + [cc.gate_id[name] for name in others]
+        positions = [topo[gate_name]] + [topo[name] for name in others]
+        other_templates = [circuit.gate(name).template for name in others]
+        other_configs = [[circuit.gate(name).config] for name in others]
+        fanins = [cc.fanin_net[cc.fanin_ptr[r]:cc.fanin_ptr[r + 1]]
+                  for r in repriced]
+        out_nets = [int(cc.out_net[r]) for r in repriced]
         replacements = []
         for move in moves:
             new_template = self._templates[move.edit.template]
             config = move.edit.config
-            if config is None:
-                config = new_template.default_config()
-            compiled = new_template.compile_config(config)
+            new_class = stats_class(new_template)
             # Candidate statistics: the gate's new output first (it is
             # strictly the lowest level of its cone), then the rest of
             # the cone level-batched on scratch copies — the exact
             # group sequence a trial resettle of the cone runs.
             prob = backend._prob.copy()
             dens = backend._dens.copy()
-            stats_cls = self._stats_classes.get(new_template.name)
-            if stats_cls is None:
-                stats_cls = _StatsClass(compiled.output_tt)
-                self._stats_classes[new_template.name] = stats_cls
-            p_out, d_out = cc._stats_group(stats_cls, fanin, prob, dens)
+            p_out, d_out = cc._stats_group(new_class, fanin, prob, dens)
             prob[out] = p_out[0]
             dens[out] = d_out[0]
             cc.resettle_stats(rest_ids, prob, dens)
             # Candidate loads: only the gate's own pins change terminal
             # counts, so only its fanin nets need their load refolded.
-            counts = pin_terminal_counts(compiled)
-            cand_counts = [counts[pin] for pin in new_template.pins]
+            cand_counts = new_class.pin_counts
             cand_loads: Dict[int, float] = {}
             for net, slots in net_slots.items():
                 value = 0.0
@@ -741,40 +721,14 @@ class _BatchPricer:
                 if cc.is_output[net]:
                     value = value + cache.po_load
                 cand_loads[net] = value
-
-            def total_of(rid: int, cls) -> float:
-                matrix = cc._fanin_matrix(np.asarray([rid], dtype=np.int64),
-                                          cls.arity)
-                net = int(cc.out_net[rid])
-                load = cand_loads.get(net)
-                if load is None:
-                    load = base_loads[net]
-                *_, totals = cls.evaluate(
-                    model, prob[matrix], dens[matrix],
-                    np.asarray([load], dtype=float),
-                )
-                return float(totals[0])
-
-            # Repriced rows: the gate itself (new class), its cone
-            # (new input statistics) and its fanin drivers (new loads)
-            # — exactly the trial's power-dirty set.
-            repl = {
-                topo[gate_name]: total_of(
-                    gid,
-                    power_class(compiled),
-                )
-            }
-            for name, rid in zip(rest, rest_ids):
-                repl[topo[name]] = total_of(
-                    int(rid),
-                    kernel.class_for_code(int(cc.timing_code[rid])),
-                )
-            for name in preds:
-                rid = cc.gate_id[name]
-                repl[topo[name]] = total_of(
-                    rid, kernel.class_for_code(int(cc.timing_code[rid]))
-                )
-            replacements.append(repl)
+            prices = price_configurations(
+                model, [new_template] + other_templates,
+                [prob[f] for f in fanins], [dens[f] for f in fanins],
+                [cand_loads.get(net, base_loads[net]) for net in out_nets],
+                [[config]] + other_configs,
+            )
+            replacements.append({pos: row[0] for pos, row
+                                 in zip(positions, prices.totals)})
         return self._fold(replacements)
 
 
@@ -790,9 +744,9 @@ def _search_fingerprint(circuit: Circuit,
     — structure, templates, configurations, gate order), the input
     statistics and the search parameters, so a checkpoint from a
     different circuit, stimulus or parameterisation is rejected up
-    front instead of resuming into silent divergence.  ``jobs`` and
-    ``compiled`` are deliberately excluded: both are guaranteed not to
-    change results, so resuming across them is legal.
+    front instead of resuming into silent divergence.  ``jobs`` and the
+    engine (``REPRO_COMPILED``) are deliberately excluded: both are
+    guaranteed not to change results, so resuming across them is legal.
     """
     from .portfolio import circuit_spec
 
@@ -899,7 +853,7 @@ class _Search:
     def __init__(self, cache: StatsCache, timing: TimingCache,
                  objective: Objective,
                  retemplate: bool, max_trials: Optional[int],
-                 max_moves: Optional[int], batch_pricing: bool = False):
+                 max_moves: Optional[int]):
         self.cache = cache
         self.timing = timing
         self.circuit = cache.circuit
@@ -924,12 +878,13 @@ class _Search:
         self.delay0 = self.delay
         self.score = objective.score(self.power, self.delay,
                                      self.power0, self.delay0)
-        # Batched candidate pricing replaces per-move trials only when
-        # no candidate needs a delay reading: a delay-bearing objective
-        # must retime every trial state, which requires the edit to be
-        # applied for real.
+        # Batched candidate pricing replaces per-move trials when the
+        # cache prices power on the compiled kernels and no candidate
+        # needs a delay reading: a delay-bearing objective must retime
+        # every trial state, which requires the edit to be applied for
+        # real.
         self._pricer: Optional[_BatchPricer] = None
-        if batch_pricing and not objective.needs_delay:
+        if cache.compiled_power and not objective.needs_delay:
             self._pricer = _BatchPricer(self)
 
     # -- budget -------------------------------------------------------
@@ -961,8 +916,9 @@ class _Search:
         re-propagation per candidate instead of an apply/rollback pair.
         Returns ``(score, power, delay)`` per move.
 
-        In compiled mode with a pure-power objective the whole batch
-        is priced in one vectorised kernel pass instead
+        When the cache prices power on the compiled kernels and the
+        objective is pure power, the whole batch is priced in one
+        vectorised kernel pass instead
         (:class:`_BatchPricer`; bit-identical results, no trial
         applies), falling back to the WhatIf loop for the batches the
         pricer declines.
@@ -1435,7 +1391,7 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
                backend, model, po_load, retemplate, max_trials, max_moves,
                max_rounds, initial_temp, cooling, moves_per_temp,
                anneal_trials, polish, structural, structural_nets,
-               compiled, backend_kwargs,
+               backend_kwargs,
                checkpoint_path: Optional[str] = None,
                resume_path: Optional[str] = None,
                deadline_s: Optional[float] = None,
@@ -1481,7 +1437,6 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
         "polish": polish,
         "structural": structural,
         "structural_nets": structural_nets,
-        "compiled": compiled,
         **backend_kwargs,
     }
 
@@ -1641,7 +1596,6 @@ def search_circuit(
     structural_nets: int = 4,
     restarts: Optional[int] = None,
     jobs: int = 1,
-    compiled: Optional[bool] = None,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
     resume_path: Optional[str] = None,
@@ -1685,12 +1639,13 @@ def search_circuit(
     ``jobs`` value.  Portfolio mode needs ``strategy="anneal"`` and an
     owned circuit (not a live ``cache=``).
 
-    ``compiled`` routes the statistics and timing hot loops through the
-    flat-array kernels of :mod:`repro.compiled` (``None`` defers to the
-    ``REPRO_COMPILED`` environment flag) and additionally prices each
-    greedy pure-power candidate batch in one vectorised kernel pass
-    instead of per-move trials; results — the move trace included —
-    are bit-identical either way.
+    The statistics and timing hot loops run on the flat-array kernels
+    of :mod:`repro.compiled`, and when the stats cache prices power on
+    them, each greedy pure-power candidate batch is priced in one
+    vectorised kernel pass instead of per-move trials.
+    ``REPRO_COMPILED=0`` selects the object-graph oracle for the caches
+    built here (a live ``cache=`` keeps the engine it was built with);
+    results — the move trace included — are bit-identical either way.
 
     Determinism: for a fixed ``(circuit, input_stats, seed)`` and
     parameters the accepted-move trace — and hence
@@ -1744,8 +1699,9 @@ def search_circuit(
         raise TypeError("checkpoint/resume need an owned circuit "
                         "(circuit/input_stats), not a live cache=")
     # Everything a checkpoint must agree with to be resumable.  ``jobs``
-    # and ``compiled`` are excluded on purpose: both are guaranteed not
-    # to change results, so resuming across them is legal.
+    # and the engine (``REPRO_COMPILED``) are excluded on purpose: both
+    # are guaranteed not to change results, so resuming across them is
+    # legal.
     fingerprint_params = {
         "strategy": strategy,
         "objective": [resolved.name, resolved.power_weight,
@@ -1791,8 +1747,7 @@ def search_circuit(
             initial_temp=initial_temp, cooling=cooling,
             moves_per_temp=moves_per_temp, anneal_trials=anneal_trials,
             polish=polish, structural=structural or None,
-            structural_nets=structural_nets, compiled=compiled,
-            backend_kwargs=backend_kwargs,
+            structural_nets=structural_nets, backend_kwargs=backend_kwargs,
             checkpoint_path=checkpoint_path, resume_path=resume_path,
             deadline_s=deadline_s, worker_retries=worker_retries,
             fingerprint_params=fingerprint_params,
@@ -1848,16 +1803,14 @@ def search_circuit(
             # the backend's per-input sample substreams.
             backend_kwargs.setdefault("seed", seed)
         cache = StatsCache(work, input_stats, backend=backend, model=model,
-                           po_load=po_load, compiled=compiled,
-                           **backend_kwargs)
+                           po_load=po_load, **backend_kwargs)
     else:
         if circuit is not None or input_stats is not None:
             raise TypeError("pass either circuit/input_stats or cache=, not both")
         if (model is not None or backend != "analytic" or backend_kwargs
-                or po_load != DEFAULT_PO_LOAD or compiled is not None):
+                or po_load != DEFAULT_PO_LOAD):
             raise TypeError(
-                "backend/model/po_load/compiled arguments conflict with a "
-                "live cache="
+                "backend/model/po_load arguments conflict with a live cache="
             )
 
     if families and not getattr(cache.backend, "supports_structure", False):
@@ -1875,12 +1828,10 @@ def search_circuit(
     # index and prices every delay read cone-locally (full STA per
     # candidate was the pre-TimingCache behaviour).
     timing = TimingCache(cache.circuit, tech=cache.model.tech,
-                         po_load=cache.po_load, index=cache.index,
-                         compiled=compiled)
+                         po_load=cache.po_load, index=cache.index)
     try:
         state = _Search(cache, timing, resolved, retemplate,
-                        max_trials, max_moves,
-                        batch_pricing=use_compiled(compiled))
+                        max_trials, max_moves)
         if resume_payload is not None:
             # The replayed caches carry the snapshot's values; restore
             # the search bookkeeping the caches don't hold — the trace,

@@ -50,19 +50,17 @@ class TimingCache:
     structural edit both re-read the circuit's freshly rebuilt memoised
     index, so they keep sharing).
 
-    ``compiled`` routes the initial sweep and every refresh through
-    the flat-array kernels of :mod:`repro.compiled` (``None`` defers
-    to the ``REPRO_COMPILED`` environment flag); arrivals, early
-    cut-off decisions and the :attr:`gates_retimed` counter are
-    bit-identical either way.
+    The initial sweep and every refresh run on the flat-array kernels
+    of :mod:`repro.compiled` unless ``REPRO_COMPILED=0`` was set when
+    the cache was built; arrivals, early cut-off decisions and the
+    :attr:`gates_retimed` counter are bit-identical either way.
     """
 
     def __init__(self, circuit: Circuit,
                  tech=None,
                  po_load: Optional[float] = None,
                  input_arrivals: Optional[Mapping[str, float]] = None,
-                 index: Optional[FanoutIndex] = None,
-                 compiled: Optional[bool] = None):
+                 index: Optional[FanoutIndex] = None):
         if index is None:
             circuit.validate()
             index = circuit.fanout_index()
@@ -76,11 +74,11 @@ class TimingCache:
             net: (float(input_arrivals[net]) if input_arrivals else 0.0)
             for net in circuit.inputs
         }
-        from ..compiled.flags import use_compiled
+        from ..compiled.flags import compiled_default
 
         self._cc = None
         self._arr = None
-        if use_compiled(compiled):
+        if compiled_default():
             from ..compiled import get_compiled
 
             self._cc = get_compiled(circuit)

@@ -58,15 +58,18 @@ def _canonical_payload(payload: Dict[str, object]) -> str:
 
 
 def dumps_checkpoint(payload: Dict[str, object]) -> str:
-    """Serialise ``payload`` into the checksummed container form."""
+    """Serialise ``payload`` into the checksummed container form.
+
+    The container is written compactly around the very payload text
+    the CRC covers (keys in sorted order: ``crc``, ``payload``,
+    ``schema``), so a save encodes the payload once, on json's C
+    encoder; an indented dump would re-encode it in pure Python and
+    cost most of a snapshot.
+    """
     body = _canonical_payload(payload)
-    container = {
-        "schema": CHECKPOINT_SCHEMA,
-        "crc": zlib.crc32(body.encode("utf-8")),
-        "payload": payload,
-    }
-    return json.dumps(container, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    crc = zlib.crc32(body.encode("utf-8"))
+    return (f'{{"crc":{crc},"payload":{body},'
+            f'"schema":{CHECKPOINT_SCHEMA}}}\n')
 
 
 def save_checkpoint(path: str, payload: Dict[str, object]) -> None:

@@ -21,7 +21,7 @@ All return a full net-to-:class:`SignalStats` map; see
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from ..circuit.netlist import Circuit
 from ..circuit.topology import topological_gates
@@ -93,27 +93,25 @@ def exact_stats(circuit: Circuit,
 def propagate_stats(circuit: Circuit,
                     input_stats: Mapping[str, SignalStats],
                     method: str = "local",
-                    compiled: Optional[bool] = None,
                     **sampling_kwargs) -> Dict[str, SignalStats]:
     """Dispatch to :func:`local_stats`, :func:`exact_stats` or sampling.
 
     ``method="sampled"`` forwards ``sampling_kwargs`` (``lanes``,
     ``steps``, ``dt``, ``seed``) to
     :func:`repro.sim.bitsim.sampled_stats`; the analytic engines accept
-    no extra arguments.  ``compiled`` routes the ``"local"`` sweep
-    through the flat-array kernel of :mod:`repro.compiled` and the
-    ``"sampled"`` run through its uint64-block twin
-    (:func:`repro.compiled.sampled.compiled_sampled_stats`); ``None``
-    defers to the ``REPRO_COMPILED`` environment flag, and results are
-    bit-identical either way.
+    no extra arguments.  The ``"local"`` sweep runs on the flat-array
+    kernel of :mod:`repro.compiled` and the ``"sampled"`` run on its
+    uint64-block twin (:func:`repro.compiled.sampled.compiled_sampled_stats`)
+    unless ``REPRO_COMPILED=0`` selects the object-graph oracle; results
+    are bit-identical either way.
     """
     missing = [n for n in circuit.inputs if n not in input_stats]
     if missing:
         raise KeyError(f"missing input statistics for {missing}")
     if method == "sampled":
-        from ..compiled.flags import use_compiled
+        from ..compiled.flags import compiled_default
 
-        if use_compiled(compiled):
+        if compiled_default():
             from ..compiled.sampled import compiled_sampled_stats
 
             return compiled_sampled_stats(circuit, input_stats,
@@ -126,9 +124,9 @@ def propagate_stats(circuit: Circuit,
             f"method {method!r} takes no sampling arguments: {sorted(sampling_kwargs)}"
         )
     if method == "local":
-        from ..compiled.flags import use_compiled
+        from ..compiled.flags import compiled_default
 
-        if use_compiled(compiled):
+        if compiled_default():
             from ..compiled import get_compiled
 
             return get_compiled(circuit).local_stats(input_stats)

@@ -118,17 +118,17 @@ def build_timing_report(arrivals: Dict[str, float],
 def analyze_timing(circuit: Circuit, tech: Optional[TechParams] = None,
                    po_load: float = DEFAULT_PO_LOAD,
                    input_arrivals: Optional[Mapping[str, float]] = None,
-                   compiled: Optional[bool] = None) -> TimingReport:
+                   ) -> TimingReport:
     """Compute arrival times for every net and extract the critical path.
 
-    ``compiled`` routes the sweep through the flat-array kernels of
-    :mod:`repro.compiled` (``None`` defers to the ``REPRO_COMPILED``
-    environment flag); results are bit-identical either way.
+    The sweep runs on the flat-array kernels of :mod:`repro.compiled`
+    unless ``REPRO_COMPILED=0`` selects the object-graph oracle; results
+    are bit-identical either way.
     """
     tech, po_load = timing_context(tech, po_load)
-    from ..compiled.flags import use_compiled
+    from ..compiled.flags import compiled_default
 
-    if use_compiled(compiled):
+    if compiled_default():
         from ..compiled import get_compiled
 
         return get_compiled(circuit).analyze_timing(tech, po_load,

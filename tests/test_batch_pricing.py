@@ -1,11 +1,11 @@
 """Batch move pricing: one kernel pass per candidate batch, same answer.
 
-The contract under test: with ``compiled=True`` and a pure-power
-objective, the greedy search prices every same-gate candidate batch in
+The contract under test: on the compiled engine (the default) with a
+pure-power objective, the greedy search prices every same-gate candidate batch in
 one vectorised kernel invocation instead of per-move ``WhatIf``
 trials, and the outcome — move trace, accept decisions, trial counts,
 final power, the whole artifact — is **byte-identical** to the
-object-graph per-trial path.  Only ``gates_repropagated`` (the work
+object-graph per-trial path (``REPRO_COMPILED=0``).  Only ``gates_repropagated`` (the work
 the batch path exists to avoid) may differ, and it must *shrink*.
 """
 
@@ -45,55 +45,62 @@ def canonical(result, *, keep_cone):
     return dumps_artifact(artifact)
 
 
-def run_pair(wide, **kwargs):
+@pytest.fixture
+def run_pair(wide, object_engine):
+    """``run_pair(**kwargs)`` -> (object-graph result, compiled result)."""
     circuit, stats = wide
-    plain = search_circuit(circuit, stats, compiled=False, **kwargs)
-    flat = search_circuit(circuit, stats, compiled=True, **kwargs)
-    return plain, flat
+
+    def run(**kwargs):
+        with object_engine():
+            plain = search_circuit(circuit, stats, **kwargs)
+        flat = search_circuit(circuit, stats, **kwargs)
+        return plain, flat
+
+    return run
 
 
 # ----------------------------------------------------------------------
 # Greedy pure-power searches: batched pricing engages
 # ----------------------------------------------------------------------
 class TestBatchedGreedy:
-    def test_reorder_search_identical_with_less_work(self, wide):
-        plain, flat = run_pair(wide, objective="power", seed=3)
+    def test_reorder_search_identical_with_less_work(self, run_pair):
+        plain, flat = run_pair(objective="power", seed=3)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
         assert flat.gates_repropagated < plain.gates_repropagated
         assert flat.trials == plain.trials
         assert len(flat.accepted) == len(plain.accepted)
 
-    def test_retemplate_search_identical_with_less_work(self, wide):
-        plain, flat = run_pair(wide, objective="power", seed=3,
+    def test_retemplate_search_identical_with_less_work(self, run_pair):
+        plain, flat = run_pair(objective="power", seed=3,
                                retemplate=True)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
         assert flat.gates_repropagated < plain.gates_repropagated
 
-    def test_sampled_backend_prices_reorder_batches(self, wide):
-        plain, flat = run_pair(wide, objective="power", seed=5,
+    def test_sampled_backend_prices_reorder_batches(self, run_pair):
+        plain, flat = run_pair(objective="power", seed=5,
                                backend="sampled", lanes=64, steps=8)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
         assert flat.gates_repropagated < plain.gates_repropagated
 
-    def test_sampled_retemplate_falls_back_per_move(self, wide):
+    def test_sampled_retemplate_falls_back_per_move(self, run_pair):
         # retemplate candidates on the sampled backend fall back to
         # WhatIf trials (streams are not class-batchable); reorder
         # batches still price vectorised, and the artifact holds.
-        plain, flat = run_pair(wide, objective="power", seed=5,
+        plain, flat = run_pair(objective="power", seed=5,
                                backend="sampled", lanes=64, steps=8,
                                retemplate=True)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
         assert flat.gates_repropagated < plain.gates_repropagated
 
-    def test_anneal_polish_reuses_batches_after_trials(self, wide):
+    def test_anneal_polish_reuses_batches_after_trials(self, run_pair):
         # annealing samples single moves (never batched); the polish
         # descent afterwards re-engages batch pricing, including the
         # rollback-cone flush the per-trial path does in WhatIf.
-        plain, flat = run_pair(wide, strategy="anneal", objective="power",
+        plain, flat = run_pair(strategy="anneal", objective="power",
                                seed=11, anneal_trials=40, polish=True)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
@@ -104,8 +111,8 @@ class TestBatchedGreedy:
 # Delay-aware objectives: the pricer stays out entirely
 # ----------------------------------------------------------------------
 class TestDisabledPricer:
-    def test_power_delay_artifacts_fully_identical(self, wide):
-        plain, flat = run_pair(wide, objective="power-delay", seed=3)
+    def test_power_delay_artifacts_fully_identical(self, run_pair):
+        plain, flat = run_pair(objective="power-delay", seed=3)
         # needs_delay disables batching, so even the cone counter
         # matches: both engines do move-for-move identical work.
         assert canonical(plain, keep_cone=True) \

@@ -182,6 +182,32 @@ class TestMappedBlif:
             env = dict(zip(("a", "b"), vector))
             assert back.evaluate(env)["y"] == circuit.evaluate(env)["y"]
 
+    def test_configurations_roundtrip(self):
+        circuit = self._circuit()
+        orderings = LIB["nand2"].configurations()
+        circuit.set_config("g0", orderings[-1])
+        text = write_mapped_blif(circuit)
+        assert f".param config {len(orderings) - 1}" in text
+        assert text.count(".param") == 1  # default orderings stay implicit
+        back = parse_mapped_blif(text, LIB)
+        assert [g.config for g in back.gates] == [orderings[-1], None]
+        assert write_mapped_blif(back) == text
+
+    @pytest.mark.parametrize("line", [
+        ".param config 99", ".param config x", ".param width 2",
+        ".param config",
+    ])
+    def test_bad_config_parameters_rejected(self, line):
+        text = (".model m\n.inputs a b\n.outputs y\n"
+                f".gate nand2 a=a b=b O=y\n{line}\n.end\n")
+        with pytest.raises(BlifError):
+            parse_mapped_blif(text, LIB)
+
+    def test_param_before_any_gate_rejected(self):
+        text = ".model m\n.inputs a\n.outputs y\n.param config 0\n.end\n"
+        with pytest.raises(BlifError, match="before any .gate"):
+            parse_mapped_blif(text, LIB)
+
     def test_gate_lines_have_output_binding(self):
         text = ".model m\n.inputs a\n.outputs y\n.gate inv a=a\n.end\n"
         with pytest.raises(BlifError):

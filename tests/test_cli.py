@@ -135,6 +135,46 @@ class TestCommands:
         assert set(circuit_b.outputs) == {"y"}
         assert len(circuit_b) == len(circuit_v)
 
+    def test_saved_optimised_netlist_reprices_exactly(self, tmp_path):
+        """--save-blif keeps the chosen orderings: re-pricing the saved
+        netlist gives the optimiser's power_after, bit for bit."""
+        from repro.bench.generators import random_logic
+        from repro.circuit.blif import load_blif, parse_mapped_blif, write_blif
+        from repro.core.optimizer import circuit_power, optimize_circuit
+        from repro.gates.library import default_library
+        from repro.sim.stimulus import ScenarioA
+        from repro.synth.mapper import map_circuit
+
+        blif = tmp_path / "rnd.blif"
+        blif.write_text(write_blif(random_logic(10, 40, seed=3)))
+        out_blif = tmp_path / "opt.blif"
+        code, _ = run_cli("optimize", str(blif), "--seed", "4",
+                          "--save-blif", str(out_blif))
+        assert code == 0
+        circuit = map_circuit(load_blif(str(blif)))
+        stats = ScenarioA(seed=4).input_stats(circuit.inputs)
+        chosen = optimize_circuit(circuit, stats)
+        saved = parse_mapped_blif(out_blif.read_text(), default_library())
+        assert any(g.config is not None for g in saved.gates)
+        assert [g.config for g in saved.gates] \
+            == [g.config for g in chosen.circuit.gates]
+        assert circuit_power(saved, stats).total == chosen.power_after
+
+    def test_saves_leave_no_temporary_files(self, tmp_path):
+        blif = tmp_path / "fa.blif"
+        blif.write_text(FA_BLIF)
+        out = tmp_path / "out"
+        code, _ = run_cli(
+            "optimize", str(blif), "--save-blif", str(out / "opt.blif"),
+            "--save-verilog", str(out / "opt.v"),
+        )
+        assert code == 0
+        code, _ = run_cli("search", str(blif),
+                          "--save-blif", str(out / "searched.blif"))
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) \
+            == ["opt.blif", "opt.v", "searched.blif"]
+
 
 FA_BLIF = (
     ".model fa\n.inputs a b cin\n.outputs s cout\n"

@@ -12,12 +12,13 @@ the numpy summation-order canary the kernels rely on.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generators import random_logic
 from repro.bench.suite import get_case
-from repro.compiled import CompiledCircuit, get_compiled, use_compiled
+from repro.circuit.netlist import AddGate
+from repro.compiled import CompiledCircuit, compiled_default, get_compiled
 from repro.compiled.backend import CompiledAnalyticBackend
 from repro.compiled.circuit import _rowwise_selected_sum
 from repro.gates.library import default_library
@@ -53,11 +54,10 @@ def wide():
     return circuit, stats
 
 
-def assert_timing_equal(circuit, input_arrivals=None):
-    reference = analyze_timing(circuit, input_arrivals=input_arrivals,
-                               compiled=False)
-    compiled = analyze_timing(circuit, input_arrivals=input_arrivals,
-                              compiled=True)
+def assert_timing_equal(object_engine, circuit, input_arrivals=None):
+    with object_engine():
+        reference = analyze_timing(circuit, input_arrivals=input_arrivals)
+    compiled = analyze_timing(circuit, input_arrivals=input_arrivals)
     assert compiled.arrivals == reference.arrivals
     assert compiled.delay == reference.delay
     assert compiled.critical_path == reference.critical_path
@@ -98,17 +98,17 @@ class TestSummationOrder:
 class TestFromScratch:
     def test_stats_bit_identical(self, master, wide):
         for circuit, stats in (master, wide):
-            assert propagate_stats(circuit, stats, "local", compiled=True) \
+            assert propagate_stats(circuit, stats, "local") \
                 == local_stats(circuit, stats)
 
-    def test_timing_bit_identical(self, master, wide):
+    def test_timing_bit_identical(self, master, wide, object_engine):
         for circuit, _ in (master, wide):
-            assert_timing_equal(circuit)
+            assert_timing_equal(object_engine, circuit)
 
-    def test_timing_with_input_arrivals(self, master):
+    def test_timing_with_input_arrivals(self, master, object_engine):
         circuit, _ = master
         arrivals = {net: 1e-10 * i for i, net in enumerate(circuit.inputs)}
-        assert_timing_equal(circuit, input_arrivals=arrivals)
+        assert_timing_equal(object_engine, circuit, input_arrivals=arrivals)
 
     def test_net_loads_bit_identical(self, master):
         circuit, _ = master
@@ -121,7 +121,8 @@ class TestFromScratch:
             assert loads[compiled.net_id[net]] == circuit.output_load(
                 net, tech, 10.0e-15)
 
-    def test_direct_config_mutation_is_picked_up(self, master):
+    def test_direct_config_mutation_is_picked_up(self, master,
+                                                 object_engine):
         """Batch kernels resync codes for edits outside the edit API."""
         circuit, stats = master
         work = circuit.copy()
@@ -129,8 +130,8 @@ class TestFromScratch:
         gate = next(g for g in work.gates
                     if g.template.num_configurations() > 1)
         gate.config = gate.template.configurations()[-1]
-        assert_timing_equal(work)
-        assert propagate_stats(work, stats, "local", compiled=True) \
+        assert_timing_equal(object_engine, work)
+        assert propagate_stats(work, stats, "local") \
             == local_stats(work, stats)
 
 
@@ -172,25 +173,31 @@ def apply_spec(circuit, cache, tcache, input_stats, spec):
         tcache.set_input_arrival(net, 1.0e-12 * (value % 503))
 
 
+#: ``object_engine`` is a per-example block (each ``with`` sets and
+#: restores the flag), so sharing it across hypothesis examples is safe.
+_FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+
 class TestEditEquivalence:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=_FIXTURE_OK)
     @given(st.lists(edit_specs(), min_size=1, max_size=8))
-    def test_compiled_caches_match_scratch_after_every_edit(self, master,
-                                                           specs):
+    def test_compiled_caches_match_scratch_after_every_edit(
+            self, master, object_engine, specs):
         circuit_master, stats = master
         circuit = circuit_master.copy()
         current = dict(stats)
-        cache = StatsCache(circuit, current, compiled=True)
-        tcache = TimingCache(circuit, index=cache.index, compiled=True)
+        cache = StatsCache(circuit, current)
+        tcache = TimingCache(circuit, index=cache.index)
         try:
             assert isinstance(cache.backend, CompiledAnalyticBackend)
             for spec in specs:
                 apply_spec(circuit, cache, tcache, current, spec)
-                assert cache.stats() == propagate_stats(
-                    circuit, current, "local")
-                reference = analyze_timing(
-                    circuit, input_arrivals=tcache.input_arrivals,
-                    compiled=False)
+                with object_engine():
+                    assert cache.stats() == propagate_stats(
+                        circuit, current, "local")
+                    reference = analyze_timing(
+                        circuit, input_arrivals=tcache.input_arrivals)
                 assert tcache.arrivals() == reference.arrivals
                 assert tcache.delay() == reference.delay
                 assert tcache.critical_path() == reference.critical_path
@@ -198,16 +205,20 @@ class TestEditEquivalence:
             tcache.close()
             cache.close()
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=_FIXTURE_OK)
     @given(st.lists(edit_specs(), min_size=1, max_size=6))
-    def test_compiled_retime_counts_match_object_path(self, master, specs):
+    def test_compiled_retime_counts_match_object_path(self, master,
+                                                      object_engine, specs):
         """Early cut-off must recompute the same set either way."""
         circuit_master, stats = master
         circuit = circuit_master.copy()
         current = dict(stats)
-        cache = StatsCache(circuit, current, compiled=False)
-        tcache = TimingCache(circuit, index=cache.index, compiled=True)
-        ref = TimingCache(circuit, index=cache.index, compiled=False)
+        with object_engine():
+            cache = StatsCache(circuit, current)
+        tcache = TimingCache(circuit, index=cache.index)
+        with object_engine():
+            ref = TimingCache(circuit, index=cache.index)
         try:
             for spec in specs:
                 if spec[0] == "input-arrival":
@@ -228,21 +239,23 @@ class TestEditEquivalence:
 # Integration: the search engine on compiled kernels
 # ----------------------------------------------------------------------
 class TestSearchIntegration:
-    def test_greedy_search_artifact_identical(self, master):
+    def test_greedy_search_artifact_identical(self, master, object_engine):
         circuit, stats = master
-        plain = search_circuit(circuit, stats, objective="power-delay",
-                               seed=3, compiled=False)
+        with object_engine():
+            plain = search_circuit(circuit, stats, objective="power-delay",
+                                   seed=3)
         flat = search_circuit(circuit, stats, objective="power-delay",
-                              seed=3, compiled=True)
+                              seed=3)
         assert dumps_artifact(strip_timing(plain.to_artifact())) \
             == dumps_artifact(strip_timing(flat.to_artifact()))
 
-    def test_anneal_search_artifact_identical(self, master):
+    def test_anneal_search_artifact_identical(self, master, object_engine):
         circuit, stats = master
-        plain = search_circuit(circuit, stats, strategy="anneal", seed=11,
-                               anneal_trials=60, compiled=False)
+        with object_engine():
+            plain = search_circuit(circuit, stats, strategy="anneal",
+                                   seed=11, anneal_trials=60)
         flat = search_circuit(circuit, stats, strategy="anneal", seed=11,
-                              anneal_trials=60, compiled=True)
+                              anneal_trials=60)
         assert dumps_artifact(strip_timing(plain.to_artifact())) \
             == dumps_artifact(strip_timing(flat.to_artifact()))
 
@@ -251,18 +264,31 @@ class TestSearchIntegration:
 # Feature flag
 # ----------------------------------------------------------------------
 class TestFlag:
-    def test_explicit_overrides(self):
-        assert use_compiled(True) is True
-        assert use_compiled(False) is False
+    def test_explicit_overrides(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILED", "1")
+        assert compiled_default() is True
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+        assert compiled_default() is False
+
+    def test_string_arguments_parse_like_the_env(self, monkeypatch):
+        # a launcher forwarding REPRO_COMPILED=0 from its own environment
+        # or argv means *off*; bool("0") would have silently meant *on*.
+        for spelling in ("1", "true", "YES", " on ", "yes"):
+            monkeypatch.setenv("REPRO_COMPILED", spelling)
+            assert compiled_default() is True
+        for spelling in ("", "0", "false", "No", " OFF "):
+            monkeypatch.setenv("REPRO_COMPILED", spelling)
+            assert compiled_default() is False
+        monkeypatch.setenv("REPRO_COMPILED", "maybe")
+        with pytest.raises(ValueError):
+            compiled_default()
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        assert use_compiled(None) is False
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        assert use_compiled(None) is True
+        assert compiled_default() is True
         assert isinstance(make_backend("analytic"), CompiledAnalyticBackend)
         monkeypatch.setenv("REPRO_COMPILED", "off")
-        assert use_compiled(None) is False
+        assert compiled_default() is False
         backend = make_backend("analytic")
         assert isinstance(backend, AnalyticBackend)
         assert not isinstance(backend, CompiledAnalyticBackend)
@@ -270,30 +296,50 @@ class TestFlag:
     def test_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILED", "maybe")
         with pytest.raises(ValueError):
-            use_compiled(None)
-
-    def test_string_arguments_parse_like_the_env(self):
-        # a caller forwarding compiled="0" from its own environment or
-        # argv means *off*; bool("0") would have silently meant *on*.
-        for spelling in ("1", "true", "YES", " on ", "yes"):
-            assert use_compiled(spelling) is True
-        for spelling in ("", "0", "false", "No", " OFF "):
-            assert use_compiled(spelling) is False
+            compiled_default()
         with pytest.raises(ValueError):
-            use_compiled("maybe")
+            make_backend("analytic")
+
+    def test_caches_and_backends_resolve_the_engine_when_built(
+            self, master, object_engine):
+        from repro.compiled.sampled import CompiledSampledBackend
+        from repro.incremental.backends import SampledBackend
+
+        circuit, stats = master
+        work = circuit.copy()
+        with object_engine():
+            ref = StatsCache(work, stats)
+            ref_timing = TimingCache(work)
+            ref_sampled = make_backend("sampled")
+        flat = StatsCache(work, stats)
+        flat_timing = TimingCache(work)
+        try:
+            assert isinstance(flat.backend, CompiledAnalyticBackend)
+            assert flat.compiled_power
+            assert flat_timing._cc is get_compiled(work)
+            assert isinstance(make_backend("sampled"), CompiledSampledBackend)
+            # Built under REPRO_COMPILED=0, kept after the flag reverts.
+            assert type(ref.backend) is AnalyticBackend
+            assert not ref.compiled_power
+            assert ref_timing._cc is None
+            assert type(ref_sampled) is SampledBackend
+            assert flat.total_power() == ref.total_power()
+            assert flat_timing.arrivals() == ref_timing.arrivals()
+        finally:
+            for cache in (flat_timing, flat, ref_timing, ref):
+                cache.close()
 
     def test_compiled_backend_keeps_the_analytic_name(self):
         assert CompiledAnalyticBackend().name == "analytic"
 
     def test_sampled_routes_explicit_compiled(self):
-        # the sampled estimator now has a compiled twin; an already-
-        # constructed instance still conflicts with the flag.
+        # the sampled estimator's default engine is its compiled twin;
+        # an already-constructed instance passes through unchanged.
         from repro.compiled.sampled import CompiledSampledBackend
 
-        backend = make_backend("sampled", compiled=True)
+        backend = make_backend("sampled")
         assert isinstance(backend, CompiledSampledBackend)
-        with pytest.raises(TypeError):
-            make_backend(backend, compiled=True)
+        assert make_backend(backend) is backend
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +372,27 @@ class TestStructureMemo:
         rebuilt = get_compiled(work)
         assert rebuilt is not compiled
         assert "fresh_inv" in rebuilt.gate_id
+
+    def test_relowering_shares_the_process_wide_classes(self, master,
+                                                        object_engine):
+        """Re-lowering after a structural edit looks every class up:
+        surviving gates keep the very class objects they had."""
+        circuit, stats = master
+        work = circuit.copy()
+        before = get_compiled(work)
+        work.apply_edit(AddGate("fresh_inv", "inv", (("a", work.inputs[0]),),
+                                "fresh_net"))
+        after = get_compiled(work)
+        assert after is not before
+        for name, gid in before.gate_id.items():
+            new = after.gate_id[name]
+            assert (after._stats_classes[after.stats_code[new]]
+                    is before._stats_classes[before.stats_code[gid]])
+            assert (after._timing_classes[after.timing_code[new]]
+                    is before._timing_classes[before.timing_code[gid]])
+        with object_engine():
+            reference = propagate_stats(work, stats, "local")
+        assert after.local_stats(stats) == reference
 
     def test_edits_keep_the_memo(self, master):
         circuit, _ = master

@@ -1,21 +1,22 @@
 """Bit-identity of the compiled power kernel (`repro.compiled.power`).
 
-The contract under test: class-batched `CompiledPowerKernel` pricing —
-per-minterm weights, steady-state guards, per-pin transition folds,
-node capacitances and gate totals — is **bit-identical** (exact float
-equality, every `NodePowerEntry` field) to the per-gate object path of
+The contract under test: class-batched `price_configurations` pricing
+of each gate's current configuration — per-minterm weights,
+steady-state guards, per-pin transition folds, node capacitances and
+gate totals — is **bit-identical** (exact float equality, every
+`NodePowerEntry` field) to the per-gate object path of
 `GatePowerModel`, for all three formulas, under random edit sequences,
-and through the `StatsCache` power refresh it backs in compiled mode.
+and through the `StatsCache` power refresh it backs on the compiled
+engine.
 """
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generators import random_logic
 from repro.compiled.circuit import get_compiled
-from repro.compiled.power import CompiledPowerKernel
+from repro.compiled.power import power_class, price_gates
 from repro.core.power_model import FORMULAS, GatePowerModel
 from repro.gates.capacitance import net_load
 from repro.incremental import StatsCache
@@ -45,6 +46,15 @@ def object_reports(circuit, model, stats, po_load):
         reports[gate.name] = model.gate_power(gate.compiled(), pin_stats,
                                               load)
     return reports
+
+
+def kernel_reports(circuit, model, stats, po_load):
+    """Every gate's current configuration priced in one batched call,
+    loads from the compiled circuit — the StatsCache refresh route."""
+    gates = circuit.gates
+    prices = price_gates(model, get_compiled(circuit), gates, stats, po_load)
+    return prices, {g.name: prices.report(i, 0)
+                    for i, g in enumerate(gates)}
 
 
 def assert_reports_equal(kernel_reports, reference):
@@ -108,9 +118,8 @@ class TestKernelEquivalence:
         from repro.stochastic.density import local_stats
 
         stats = local_stats(work, input_stats)
-        kernel = CompiledPowerKernel(get_compiled(work), model)
-        names = [g.name for g in work.gates]
-        assert_reports_equal(kernel.reports(names, stats, PO_LOAD),
+        _, reports = kernel_reports(work, model, stats, PO_LOAD)
+        assert_reports_equal(reports,
                              object_reports(work, model, stats, PO_LOAD))
 
     def test_gate_totals_match_reports(self, wide):
@@ -120,13 +129,10 @@ class TestKernelEquivalence:
         from repro.stochastic.density import local_stats
 
         stats = local_stats(work, input_stats)
-        kernel = CompiledPowerKernel(get_compiled(work), model)
-        names = [g.name for g in work.gates]
-        reports = kernel.reports(names, stats, PO_LOAD)
-        totals = kernel.gate_totals(names, stats, PO_LOAD)
-        assert totals.shape == (len(names),)
-        for name, total in zip(names, totals):
-            assert float(total) == reports[name].total
+        prices, reports = kernel_reports(work, model, stats, PO_LOAD)
+        assert len(prices.totals) == len(work.gates)
+        for gate, row in zip(work.gates, prices.totals):
+            assert row == [reports[gate.name].total]
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(edit_specs(), min_size=1, max_size=6))
@@ -135,16 +141,15 @@ class TestKernelEquivalence:
         circuit = circuit_master.copy()
         input_stats = dict(stats_master)
         model = GatePowerModel()
-        kernel = CompiledPowerKernel(get_compiled(circuit), model)
+        get_compiled(circuit)  # lowered once, kept current by edits
         from repro.stochastic.density import local_stats
 
-        names = [g.name for g in circuit.gates]
         for spec in specs:
             apply_spec(circuit, input_stats, spec)
             stats = local_stats(circuit, input_stats)
+            _, reports = kernel_reports(circuit, model, stats, PO_LOAD)
             assert_reports_equal(
-                kernel.reports(names, stats, PO_LOAD),
-                object_reports(circuit, model, stats, PO_LOAD))
+                reports, object_reports(circuit, model, stats, PO_LOAD))
 
 
 # ----------------------------------------------------------------------
@@ -152,14 +157,15 @@ class TestKernelEquivalence:
 # ----------------------------------------------------------------------
 class TestCacheIntegration:
     @pytest.mark.parametrize("formula", FORMULAS)
-    def test_cache_power_bit_identical(self, wide, formula):
+    def test_cache_power_bit_identical(self, wide, object_engine, formula):
         circuit, stats = wide
         ref_circuit, flat_circuit = circuit.copy(), circuit.copy()
         model = GatePowerModel(formula=formula)
-        ref = StatsCache(ref_circuit, stats, model=model, compiled=False)
-        flat = StatsCache(flat_circuit, stats, model=model, compiled=True)
+        with object_engine():
+            ref = StatsCache(ref_circuit, stats, model=model)
+        flat = StatsCache(flat_circuit, stats, model=model)
         try:
-            assert flat._compiled_power and not ref._compiled_power
+            assert flat.compiled_power and not ref.compiled_power
             assert flat.total_power() == ref.total_power()
             report = flat.power()
             assert_reports_equal(report.by_gate, ref.power().by_gate)
@@ -167,15 +173,19 @@ class TestCacheIntegration:
             flat.close()
             ref.close()
 
-    @settings(max_examples=10, deadline=None)
+    # object_engine is a per-example block, safe across examples.
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(edit_specs(), min_size=1, max_size=6))
-    def test_cache_power_tracks_random_edits(self, wide, specs):
+    def test_cache_power_tracks_random_edits(self, wide, object_engine,
+                                             specs):
         circuit_master, stats_master = wide
         ref_circuit = circuit_master.copy()
         flat_circuit = circuit_master.copy()
         ref_stats, flat_stats = dict(stats_master), dict(stats_master)
-        ref = StatsCache(ref_circuit, ref_stats, compiled=False)
-        flat = StatsCache(flat_circuit, flat_stats, compiled=True)
+        with object_engine():
+            ref = StatsCache(ref_circuit, ref_stats)
+        flat = StatsCache(flat_circuit, flat_stats)
         try:
             for spec in specs:
                 apply_spec(ref_circuit, ref_stats, spec)
@@ -191,11 +201,11 @@ class TestCacheIntegration:
             flat.close()
             ref.close()
 
-    def test_kernel_is_memoised_per_compiled_circuit(self, wide):
+    def test_power_classes_are_shared_process_wide(self, wide):
         circuit, stats = wide
         work = circuit.copy()
-        with StatsCache(work, stats, compiled=True) as cache:
+        with StatsCache(work, stats) as cache:
             cache.total_power()
-            kernel = cache.power_kernel()
-            assert cache.power_kernel() is kernel
-            assert kernel.cc is get_compiled(work)
+            for gate in work.gates:
+                compiled = gate.template.compile_config(gate.config)
+                assert power_class(compiled) is power_class(gate.compiled())

@@ -12,7 +12,7 @@ run has already seen.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generators import random_logic
@@ -137,7 +137,7 @@ class TestSampledStats:
 
     def test_propagate_stats_routes_through_the_kernel(self, wide):
         circuit, stats = wide
-        via_flag = propagate_stats(circuit, stats, "sampled", compiled=True,
+        via_flag = propagate_stats(circuit, stats, "sampled",
                                    lanes=37, steps=9, seed=5)
         assert via_flag == sampled_stats(circuit, stats, lanes=37, steps=9,
                                          seed=5)
@@ -157,25 +157,29 @@ class TestSampledStats:
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
     def test_make_backend_routes_on_the_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
+        monkeypatch.setenv("REPRO_COMPILED", "0")
         assert not isinstance(make_backend("sampled"), CompiledSampledBackend)
-        monkeypatch.setenv("REPRO_COMPILED", "1")
+        monkeypatch.delenv("REPRO_COMPILED")
         backend = make_backend("sampled", lanes=32, steps=8)
         assert isinstance(backend, CompiledSampledBackend)
         assert backend.name == "sampled"  # artifacts record the estimator
 
-    @settings(max_examples=15, deadline=None)
+    # object_engine is a per-example block, safe across examples.
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(reorder_specs(), min_size=1, max_size=6),
            st.sampled_from(LANE_COUNTS))
-    def test_caches_stay_bit_identical_under_edits(self, wide, specs, lanes):
+    def test_caches_stay_bit_identical_under_edits(self, wide, object_engine,
+                                                   specs, lanes):
         circuit_master, stats = wide
         ref_circuit = circuit_master.copy()
         flat_circuit = circuit_master.copy()
         ref_stats, flat_stats = dict(stats), dict(stats)
-        ref = StatsCache(ref_circuit, ref_stats, backend="sampled",
-                         compiled=False, lanes=lanes, steps=16, seed=4)
+        with object_engine():
+            ref = StatsCache(ref_circuit, ref_stats, backend="sampled",
+                             lanes=lanes, steps=16, seed=4)
         flat = StatsCache(flat_circuit, flat_stats, backend="sampled",
-                          compiled=True, lanes=lanes, steps=16, seed=4)
+                          lanes=lanes, steps=16, seed=4)
         try:
             assert isinstance(flat.backend, CompiledSampledBackend)
             assert not isinstance(ref.backend, CompiledSampledBackend)
@@ -199,7 +203,7 @@ class TestBackendEquivalence:
     def test_backend_dt_freezes_at_full_time(self, wide):
         circuit, stats = wide
         work = circuit.copy()
-        with StatsCache(work, stats, backend="sampled", compiled=True,
+        with StatsCache(work, stats, backend="sampled",
                         lanes=64, steps=8, seed=1) as cache:
             dt = cache.backend.dt
             assert dt is not None
@@ -219,7 +223,7 @@ class TestStreamCacheRollback:
 
     @pytest.mark.parametrize("compiled", [False, True])
     def test_trial_rollback_refresh_does_not_redraw(self, wide, monkeypatch,
-                                                    compiled):
+                                                    object_engine, compiled):
         circuit, stats = wide
         work = circuit.copy()
         draws = []
@@ -235,8 +239,10 @@ class TestStreamCacheRollback:
             monkeypatch.setattr(
                 backends_mod, "markov_stream_words",
                 lambda *a, **k: draws.append(a) or real(*a, **k))
-        with StatsCache(work, stats, backend="sampled", compiled=compiled,
-                        lanes=64, steps=16, seed=2) as cache:
+        with object_engine(not compiled):
+            cache = StatsCache(work, stats, backend="sampled",
+                               lanes=64, steps=16, seed=2)
+        with cache:
             assert len(draws) == len(work.inputs)
             baseline_stats = dict(cache.stats())
             baseline_power = cache.total_power()
@@ -260,6 +266,7 @@ class TestStreamCacheRollback:
     @pytest.mark.parametrize("compiled", [False, True])
     def test_nested_trial_rollback_restores_cached_streams(self, wide,
                                                            monkeypatch,
+                                                           object_engine,
                                                            compiled):
         circuit, stats = wide
         work = circuit.copy()
@@ -276,8 +283,10 @@ class TestStreamCacheRollback:
             monkeypatch.setattr(
                 backends_mod, "markov_stream_words",
                 lambda *a, **k: draws.append(a) or real(*a, **k))
-        with StatsCache(work, stats, backend="sampled", compiled=compiled,
-                        lanes=64, steps=16, seed=2) as cache:
+        with object_engine(not compiled):
+            cache = StatsCache(work, stats, backend="sampled",
+                               lanes=64, steps=16, seed=2)
+        with cache:
             baseline_stats = dict(cache.stats())
             net_a, net_b = work.inputs[0], work.inputs[1]
             with WhatIf(cache) as outer:

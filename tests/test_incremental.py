@@ -291,7 +291,8 @@ class TestStatsCacheSampled:
                        dt=1.0e9)
 
     def test_substreams_drawn_once_per_distinct_stats(self, adder,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      object_engine):
         # The inner-loop fix: toggling an input's statistics back and
         # forth (the WhatIf apply/rollback pattern) must not redraw a
         # stream the run has already materialised — and the cached
@@ -313,8 +314,13 @@ class TestStatsCacheSampled:
         ]
         dt = 0.2 * min(dwells)
         current = dict(stats)
-        with StatsCache(circuit, stats, backend="sampled", lanes=self.LANES,
-                        steps=self.STEPS, dt=dt, seed=self.SEED) as cache:
+        # The big-int backend's substream cache (the compiled twin's is
+        # covered by tests/test_compiled_sampled.py).
+        with object_engine():
+            cache = StatsCache(circuit, stats, backend="sampled",
+                               lanes=self.LANES, steps=self.STEPS, dt=dt,
+                               seed=self.SEED)
+        with cache:
             cache.stats()
             drawn_at_full = len(calls)
             assert drawn_at_full == len(circuit.inputs)

@@ -6,8 +6,11 @@ from repro.boolean.expr import parse_expr
 from repro.gates import sptree
 from repro.gates.library import (
     TABLE2_GATES,
+    GateConfig,
     GateLibrary,
     GateTemplate,
+    config_at,
+    config_index,
     default_library,
 )
 
@@ -124,3 +127,32 @@ class TestGateLibrary:
 
     def test_max_inputs(self, library):
         assert library.max_inputs() == 6
+
+
+class TestConfigIndex:
+    def test_every_ordering_round_trips(self, library):
+        for template in library:
+            for index, config in enumerate(template.configurations()):
+                assert config_index(template, config) == index
+                assert config_at(template, index) == config
+            assert config_index(template, None) == -1
+            assert config_at(template, -1) is None
+
+    def test_parallel_branch_order_is_immaterial(self, library):
+        """A hand-built configuration listing parallel branches in
+        another order is the same ordering, so it has the same index."""
+        template = library["nand2"]
+        config = template.configurations()[1]
+        assert isinstance(config.pun, sptree.Parallel)
+        flipped = GateConfig(config.pdn, sptree.Parallel(
+            tuple(reversed(config.pun.children))))
+        assert flipped != config
+        assert config_index(template, flipped) == 1
+
+    def test_foreign_and_out_of_range_rejected(self, library):
+        nand2 = library["nand2"]
+        with pytest.raises(ValueError, match="nand2"):
+            config_index(nand2, library["nor2"].configurations()[0])
+        with pytest.raises(ValueError, match="outside 0..1"):
+            config_at(nand2, 2)
+

@@ -211,20 +211,20 @@ def test_price_configurations_matches_gate_power():
             assert prices.report(gate, position) == evaluation.report
 
 
-def test_batch_pricer_scores_match_whatif_trials():
+def test_batch_pricer_scores_match_whatif_trials(object_engine):
     circuit = map_circuit(random_logic(12, 60, seed=9))
     input_stats = ScenarioA(seed=2).input_stats(circuit.inputs)
 
-    def search_state(compiled):
-        cache = StatsCache(circuit.copy(), input_stats, compiled=compiled)
+    def search_state():
+        cache = StatsCache(circuit.copy(), input_stats)
         timing = TimingCache(cache.circuit, tech=cache.model.tech,
-                             po_load=cache.po_load, index=cache.index,
-                             compiled=compiled)
+                             po_load=cache.po_load, index=cache.index)
         return _Search(cache, timing, make_objective("power"), False, None,
-                       None, batch_pricing=compiled)
+                       None)
 
-    batched = search_state(True)
-    trials = search_state(False)
+    batched = search_state()
+    with object_engine():
+        trials = search_state()
     assert batched._pricer is not None and trials._pricer is None
     priced = 0
     for gate in circuit.gates:

@@ -73,9 +73,11 @@ class TestPortfolioRecovery:
 
 class TestCompiledFallback:
     def test_kernel_failure_falls_back_to_object_path(self, adder,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      object_engine):
         circuit, stats = adder
-        reference = StatsCache(circuit, stats, compiled=False).total_power()
+        with object_engine():
+            reference = StatsCache(circuit, stats).total_power()
         monkeypatch.setenv("REPRO_FAULTS", "raise-kernel=1")
         from repro.obs.metrics import REGISTRY
 
@@ -83,7 +85,7 @@ class TestCompiledFallback:
         before = fallbacks.value
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cache = StatsCache(circuit, stats, compiled=True)
+            cache = StatsCache(circuit, stats)
             power = cache.total_power()
         assert power == reference  # bit-identical degradation
         assert fallbacks.value == before + 1
@@ -98,7 +100,7 @@ class TestCompiledFallback:
         monkeypatch.setenv("REPRO_FAULTS", "raise-kernel=1")
         monkeypatch.setenv("REPRO_ROBUST_STRICT", "1")
         with pytest.raises(FaultInjected):
-            StatsCache(circuit, stats, compiled=True).total_power()
+            StatsCache(circuit, stats).total_power()
 
 
 class TestBenchRecovery:

@@ -233,11 +233,13 @@ class TestEditVocabulary:
 # ----------------------------------------------------------------------
 class TestWhatIfStructural:
     @pytest.mark.parametrize("compiled", [False, True])
-    def test_rollback_restores_netlist_exactly(self, compiled):
+    def test_rollback_restores_netlist_exactly(self, object_engine,
+                                               compiled):
         c = fanout_circuit()
-        cache = StatsCache(c, FANOUT_STATS, compiled=compiled)
-        timing = TimingCache(c, tech=cache.model.tech, po_load=cache.po_load,
-                             index=cache.index, compiled=compiled)
+        with object_engine(not compiled):
+            cache = StatsCache(c, FANOUT_STATS)
+            timing = TimingCache(c, tech=cache.model.tech,
+                                 po_load=cache.po_load, index=cache.index)
         snapshot = netlist_snapshot(c)
         fanout = fanout_snapshot(c)
         stats_before = dict(cache.stats())
@@ -405,12 +407,11 @@ class TestStaleCompiled:
 # ----------------------------------------------------------------------
 # Search move families
 # ----------------------------------------------------------------------
-def _run_structural_search(compiled):
+def _run_structural_search():
     return search_circuit(
         fanout_circuit(), FANOUT_STATS, strategy="greedy",
         objective="power-delay", delay_weight=0.7,
         structural=["buffer", "dup", "sweep"], structural_nets=2,
-        compiled=compiled,
     )
 
 
@@ -424,16 +425,16 @@ def _portable_artifact(result):
 
 class TestStructuralSearch:
     @pytest.mark.parametrize("compiled", [False, True])
-    def test_script_replays_bit_identically(self, compiled):
-        result = _run_structural_search(compiled)
+    def test_script_replays_bit_identically(self, object_engine, compiled):
+        work = fanout_circuit()
+        with object_engine(not compiled):
+            result = _run_structural_search()
+            cache = StatsCache(work, FANOUT_STATS)
+            timing = TimingCache(work, tech=cache.model.tech,
+                                 po_load=cache.po_load, index=cache.index)
         kinds = {m.kind for m in result.accepted}
         assert "sweep" in kinds  # the dead pair must be swept
         assert kinds & {"buffer", "dup"}  # fanout relief must fire
-        work = fanout_circuit()
-        cache = StatsCache(work, FANOUT_STATS, compiled=compiled)
-        timing = TimingCache(work, tech=cache.model.tech,
-                             po_load=cache.po_load, index=cache.index,
-                             compiled=compiled)
         for entry in result.eco_script():
             work.apply_edit(resolve_edit(work, entry))
         assert cache.total_power() == result.power_after
@@ -443,18 +444,20 @@ class TestStructuralSearch:
         timing.close()
         cache.close()
 
-    def test_artifact_byte_stable_across_runs_and_routes(self):
-        first = _portable_artifact(_run_structural_search(False))
-        again = _portable_artifact(_run_structural_search(False))
-        compiled = _portable_artifact(_run_structural_search(True))
+    def test_artifact_byte_stable_across_runs_and_routes(self,
+                                                          object_engine):
+        with object_engine():
+            first = _portable_artifact(_run_structural_search())
+            again = _portable_artifact(_run_structural_search())
+        compiled = _portable_artifact(_run_structural_search())
         assert first == again == compiled
 
     def test_traced_run_is_byte_identical_and_emits_spans(self):
-        baseline = _portable_artifact(_run_structural_search(False))
+        baseline = _portable_artifact(_run_structural_search())
         sink = io.StringIO()
         trace.enable(sink)
         try:
-            traced = _portable_artifact(_run_structural_search(False))
+            traced = _portable_artifact(_run_structural_search())
         finally:
             trace.disable()
         assert traced == baseline
@@ -467,7 +470,7 @@ class TestStructuralSearch:
 
         counter = REGISTRY.counter("search.moves_structural")
         before = counter.value
-        result = _run_structural_search(False)
+        result = _run_structural_search()
         structural = [m for m in result.accepted
                       if m.kind in ("buffer", "dup", "sweep")]
         assert structural
